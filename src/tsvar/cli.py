@@ -121,25 +121,31 @@ def parse_function(block, where="function"):
     return fn
 
 
+#: time scale kind -> (constructor, required keys passed in order,
+#: optional keys passed by name when present); any other scale key the
+#: schema knows is accepted and ignored
+_SCALE_KINDS = {
+    "uniform": (timescale.uniform, ("a", "b", "n"), {}),
+    "q_scale": (timescale.q_scale, ("q", "n", "m"), {}),
+    "real_interval": (timescale.real_interval, ("a", "b"), {"nodes": "nodes"}),
+    "custom": (timescale.custom, (),
+               {"atoms": "atoms", "intervals": "intervals",
+                "quad_nodes": "quad_nodes_per_interval"}),
+}
+
+_SCALE_KEYS = sorted({key for _, required, optional in _SCALE_KINDS.values()
+                      for key in (*required, *optional)})
+
+
 def parse_timescale(block, where="timescale"):
-    _check_keys(block, ["kind"],
-                ["a", "b", "n", "m", "q", "nodes", "atoms", "intervals",
-                 "quad_nodes"], where)
+    _check_keys(block, ["kind"], _SCALE_KEYS, where)
     kind = block["kind"]
-    if kind == "uniform":
-        return timescale.uniform(block["a"], block["b"], block["n"])
-    if kind == "q_scale":
-        return timescale.q_scale(block["q"], block["n"], block["m"])
-    if kind == "real_interval":
-        return timescale.real_interval(block["a"], block["b"],
-                                       block.get("nodes"))
-    if kind == "custom":
-        return timescale.custom(
-            atoms=block.get("atoms", ()),
-            intervals=[tuple(iv) for iv in block.get("intervals", ())],
-            quad_nodes_per_interval=block.get("quad_nodes"),
-        )
-    raise SchemaError(f"{where}: unknown kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _SCALE_KINDS:
+        raise SchemaError(f"{where}: unknown kind {kind!r}")
+    build, required, optional = _SCALE_KINDS[kind]
+    _check_keys(block, ["kind", *required], _SCALE_KEYS, f"{where} ({kind})")
+    return build(*(block[k] for k in required),
+                 **{arg: block[k] for k, arg in optional.items() if k in block})
 
 
 def parse_problem_file(raw):
@@ -229,7 +235,8 @@ def read_trajectory_csv(path, ts):
 
 
 def cmd_solve(args):
-    problem, _ = parse_problem_file(_load_json(args.file))
+    raw = _load_json(args.file)
+    problem, _ = parse_problem_file(raw)
     sol = solvers.solve(problem)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -237,8 +244,8 @@ def cmd_solve(args):
     write_trajectory_csv(traj_path, problem.ts, sol.trajectory)
     summary = {
         "schema_version": SCHEMA_VERSION,
-        "problem": _load_json(args.file)["problem"],
-        "timescale": _load_json(args.file)["timescale"],
+        "problem": raw["problem"],
+        "timescale": raw["timescale"],
         "C": sol.C,
         "optimal_value": sol.optimal_value,
         "extremum": sol.extremum,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 from .errors import DomainError
 
 
@@ -12,7 +14,9 @@ def invert_increasing(g, target, x_lo=0.0, x_hi=None, gprime=None,
     The bracket starts at [x_lo, x_hi]; when x_hi is None it is found by
     doubling from max(x_lo + 1, 1) until g(x_hi) >= target.  Newton steps
     (using gprime when given, else a secant slope) are kept inside the
-    bracket, falling back to bisection.  Converges to |g(x) - target| <= tol.
+    bracket, falling back to bisection.  Converges to |g(x) - target| <= tol
+    or to a bracket one ulp wide; raises DomainError when neither happens
+    within max_iter steps.
     """
     glo = float(g(x_lo))
     if glo > target + tol:
@@ -49,6 +53,8 @@ def invert_increasing(g, target, x_lo=0.0, x_hi=None, gprime=None,
                 step_ok = True
         if not step_ok:
             x = 0.5 * (lo + hi)
-        if hi - lo <= 1e-16 * max(1.0, abs(hi)):
+        # at most a float or two left inside the bracket
+        if hi - lo <= 2.0 * sys.float_info.epsilon * max(1.0, abs(hi)):
             return x
-    return x
+    raise DomainError(f"no root to tolerance {tol} within {max_iter} "
+                      f"iterations (last x = {x})")

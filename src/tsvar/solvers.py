@@ -201,53 +201,56 @@ def _require_increasing(ts, traj):
         )
 
 
-def evaluate_functional(p: VariationalProblem, y: GridFunction,
-                        check_admissible: bool = True) -> float:
-    """Value of the problem's functional at an arbitrary candidate trajectory.
+def evaluate_functional(p: VariationalProblem, y, check_admissible: bool = True):
+    """Value of the problem's functional at candidate trajectories.
 
-    Admissibility (boundary values, strictly increasing trajectory where the
-    problem class demands it, positive shifted derivative for the x*ln(x)
-    class) is checked first and violations are reported with the offending
-    point.
+    ``y`` is a GridFunction, giving a float, or an array of shape (k, n)
+    holding k trajectories on the n grid points, giving k values from one
+    vectorised pass.  Unless ``check_admissible`` is false, admissibility
+    (boundary values, strictly increasing trajectory where the problem class
+    demands it, positive shifted derivative for the x*ln(x) class, a finite
+    integrand) is checked first for every row, and violations are reported
+    with the offending point.
     """
     ts = p.ts
-    yvals = y.values
+    yvals = y.values if isinstance(y, GridFunction) else np.asarray(y, dtype=float)
     d = ts.delta_derivative_grid(y)
-    kidx = ts.kappa_indices()
+    kap = slice(len(ts.kappa_indices()))
+    dk = d[..., kap]
     if check_admissible:
-        if abs(yvals[0]) > POSITIVITY_TOL:
+        if np.any(np.abs(yvals[..., 0]) > POSITIVITY_TOL):
             raise AdmissibilityError("y(a) must be 0", point=ts.a,
                                      condition="y(a) = 0")
-        if abs(yvals[-1] - p.B) > BOUNDARY_TOL:
+        off = np.abs(yvals[..., -1] - p.B) > BOUNDARY_TOL
+        if np.any(off):
             raise AdmissibilityError(
-                f"y(b) = {float(yvals[-1])} differs from B = {p.B}",
+                f"y(b) = {float(np.extract(off, yvals[..., -1])[0])} "
+                f"differs from B = {p.B}",
                 point=ts.b, condition="y(b) = B")
         if p.kind in ("power_weighted", "xlogx_shifted"):
-            viol = np.nonzero(d[kidx] <= POSITIVITY_TOL)[0]
+            viol = np.flatnonzero(
+                np.any(dk.reshape(-1, dk.shape[-1]) <= POSITIVITY_TOL, axis=0))
             if len(viol):
-                t_bad = float(ts.points[kidx[viol[0]]])
+                t_bad = float(ts.points[viol[0]])
                 raise AdmissibilityError(
                     f"delta derivative not strictly positive at t = {t_bad}",
                     point=t_bad, condition="y_delta > 0")
 
-    vals = np.zeros(len(ts.points))
-    mu = ts._mu
+    integrand = np.zeros_like(yvals)
     if p.kind == "power_weighted":
-        alpha = p.alpha
-        for i in kidx:
-            factor = averaged_chain_factor(p.phi, float(yvals[i]),
-                                           float(mu[i]), float(d[i]))
-            vals[i] = (factor * d[i]) ** alpha
+        factor = averaged_chain_factor(p.phi, yvals[..., kap], ts._mu[kap], dk)
+        integrand[..., kap] = (factor * dk) ** p.alpha
     elif p.kind == "exp_derivative":
-        phi_vals = _phi_on_points(p)
-        vals[kidx] = phi_vals[kidx] * np.exp(d[kidx])
+        integrand[..., kap] = _phi_on_points(p)[kap] * np.exp(dk)
     else:
-        phi_vals = _phi_on_points(p)
-        s = phi_vals[kidx] + d[kidx]
+        s = _phi_on_points(p)[kap] + dk
         if check_admissible and np.any(s <= 0.0):
-            t_bad = float(ts.points[kidx[int(np.argmin(s))]])
+            worst = np.argmin(s.reshape(-1, s.shape[-1]).min(axis=0))
+            t_bad = float(ts.points[worst])
             raise AdmissibilityError(
                 f"phi + y_delta must be positive; fails at t = {t_bad}",
                 point=t_bad, condition="phi + y_delta > 0")
-        vals[kidx] = s * np.log(np.maximum(s, 1e-300))
-    return ts.delta_integral(GridFunction(ts, vals))
+        integrand[..., kap] = s * np.log(np.maximum(s, 1e-300))
+    if check_admissible and not np.all(np.isfinite(integrand)):
+        raise DomainError("the functional's integrand is not finite")
+    return ts.delta_integral(integrand)

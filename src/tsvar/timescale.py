@@ -5,11 +5,13 @@ plus equally spaced quadrature nodes on each continuous interval.  The delta
 calculus reduces to graininess-weighted sums at right-scattered points and
 to quadrature / finite differences on the continuous parts.
 
-Continuous segments are integrated with a fourth-order piecewise scheme
-(cubic-interpolant Newton--Cotes per subinterval) rather than plain Simpson:
-the per-subinterval amounts make the integral additive at node boundaries
-and give smooth cumulative integrals, which the variational solvers
-differentiate numerically.
+Every integral is built from one set of per-gap amounts: mu(t) f(t) on each
+right-scattered gap, and a fourth-order piecewise scheme (cubic-interpolant
+Newton--Cotes per subinterval, always on the whole interval's stencils) on
+each continuous gap.  A delta integral is the sum of a slice of these
+amounts and the cumulative integral is their running sum, so both agree and
+are additive at every grid point.  The kernels work along the last axis, so
+a stack of grid functions is handled in one call.
 """
 
 from __future__ import annotations
@@ -48,15 +50,6 @@ def _force_odd(n):
     return n if n % 2 == 1 else n + 1
 
 
-@dataclass(frozen=True)
-class _Piece:
-    """One structural piece of the scale: an atom or an interval's node slice."""
-
-    kind: str          # "atom" | "interval"
-    start: int         # first index into the point array
-    stop: int          # one past the last index
-
-
 class TimeScale:
     """Immutable time scale with precomputed jump structure.
 
@@ -72,82 +65,61 @@ class TimeScale:
         self.quad_nodes_per_interval = int(quad_nodes_per_interval)
         nodes = _force_odd(self.quad_nodes_per_interval)
 
-        atoms = [float(a) for a in atoms]
-        intervals = [(float(l), float(u)) for (l, u) in intervals]
-        if not atoms and not intervals:
+        atoms = np.asarray(atoms, dtype=float).ravel()
+        iv = np.asarray(intervals, dtype=float)
+        if iv.size == 0:
+            iv = iv.reshape(0, 2)
+        if iv.ndim != 2 or iv.shape[1] != 2:
+            raise ConstructionError("intervals must be (lo, hi) pairs")
+        if atoms.size == 0 and iv.size == 0:
             raise ConstructionError("time scale must be nonempty")
-        for i in range(1, len(atoms)):
-            if atoms[i] <= atoms[i - 1] + POINT_TOL:
-                raise ConstructionError("atoms must be strictly increasing")
-        intervals.sort()
-        for (l, u) in intervals:
-            if not l < u:
-                raise ConstructionError(f"degenerate interval [{l}, {u}]")
-        for i in range(1, len(intervals)):
-            if intervals[i][0] < intervals[i - 1][1] - POINT_TOL:
-                raise ConstructionError("intervals overlap")
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(iv))):
+            raise ConstructionError("atoms and interval ends must be finite")
+        if np.any(np.diff(atoms) <= POINT_TOL):
+            raise ConstructionError("atoms must be strictly increasing")
+        iv = iv[np.lexsort((iv[:, 1], iv[:, 0]))]
+        lo, hi = iv[:, 0], iv[:, 1]
+        bad = np.flatnonzero(~(lo < hi))
+        if bad.size:
+            raise ConstructionError(
+                f"degenerate interval [{lo[bad[0]]}, {hi[bad[0]]}]")
+        if np.any(lo[1:] < hi[:-1] - POINT_TOL):
+            raise ConstructionError("intervals overlap")
 
-        kept_atoms = []
-        for a in atoms:
-            inside = False
-            for (l, u) in intervals:
-                if abs(a - l) <= POINT_TOL or abs(a - u) <= POINT_TOL:
-                    inside = True        # absorbed into the interval endpoint
-                    break
-                if l < a < u:
-                    raise ConstructionError(
-                        f"atom {a} lies strictly inside interval [{l}, {u}]"
-                    )
-            if not inside:
-                kept_atoms.append(a)
+        # atoms at an interval endpoint are absorbed into that endpoint;
+        # the others must not lie inside the last interval starting below
+        # them (j = -1 picks the -inf pad: no interval starts below)
+        ends = np.concatenate([[-np.inf], np.sort(iv.ravel()), [np.inf]])
+        near = np.searchsorted(ends, atoms)
+        absorbed = np.minimum(atoms - ends[near - 1], ends[near] - atoms) <= POINT_TOL
+        j = np.searchsorted(lo, atoms, side="right") - 1
+        inside = np.flatnonzero((atoms < np.append(hi, -np.inf)[j]) & ~absorbed)
+        if inside.size:
+            i = inside[0]
+            raise ConstructionError(
+                f"atom {atoms[i]} lies strictly inside interval "
+                f"[{lo[j[i]]}, {hi[j[i]]}]")
+        kept = atoms[~absorbed]
 
-        items = [("atom", a, a) for a in kept_atoms]
-        items += [("interval", l, u) for (l, u) in intervals]
-        items.sort(key=lambda it: it[1])
-
-        pts = []
-        pieces = []
-        for kind, l, u in items:
-            if kind == "atom":
-                if pts and abs(pts[-1] - l) <= POINT_TOL:
-                    raise ConstructionError(f"duplicate point {l}")
-                pts.append(l)
-                pieces.append(_Piece("atom", len(pts) - 1, len(pts)))
-            else:
-                seg = np.linspace(l, u, nodes)
-                if pts and abs(pts[-1] - seg[0]) <= POINT_TOL:
-                    start = len(pts) - 1
-                    pts.extend(seg[1:].tolist())
-                else:
-                    start = len(pts)
-                    pts.extend(seg.tolist())
-                pieces.append(_Piece("interval", start, len(pts)))
-
-        self.points = np.array(pts, dtype=float)
-        if np.any(np.diff(self.points) <= 0):
+        # touching intervals share one node: the later one drops its first
+        seg = np.linspace(lo, hi, nodes, axis=1)
+        shared = np.zeros(len(iv), dtype=bool)
+        shared[1:] = np.abs(lo[1:] - hi[:-1]) <= POINT_TOL
+        pts = np.sort(np.concatenate([kept, seg[~shared, 0], seg[:, 1:].ravel()]))
+        if np.any(np.diff(pts) <= 0):
             raise ConstructionError("evaluation points are not strictly increasing")
-        self.pieces = pieces
-        self.atoms = tuple(kept_atoms)
-        self.intervals = tuple(intervals)
+        self.points = pts
+        self.atoms = tuple(kept.tolist())
+        self.intervals = tuple(map(tuple, iv.tolist()))
 
-        n = len(self.points)
-        dense = np.zeros(n, dtype=bool)
-        dense[n - 1] = True              # max point: sigma(b) = b by convention
-        for p in pieces:
-            if p.kind == "interval":
-                dense[p.start:p.stop - 1] = True
-        self._right_dense = dense
-        mu = np.zeros(n)
-        mu[:-1] = np.where(dense[:-1], 0.0, np.diff(self.points))
+        # (start, stop) grid-index pair of every interval's nodes
+        stop = np.searchsorted(pts, hi) + 1
+        self._spans = np.stack([stop - nodes, stop], axis=1)
+        # graininess: zero on every interval gap and at the max point
+        # (sigma(b) = b by convention)
+        mu = np.append(np.diff(pts), 0.0)
+        mu[(self._spans[:, :1] + np.arange(nodes - 1)).ravel()] = 0.0
         self._mu = mu
-
-        # left-side structure (for rho)
-        ldense = np.zeros(n, dtype=bool)
-        ldense[0] = True
-        for p in pieces:
-            if p.kind == "interval":
-                ldense[p.start + 1:p.stop] = True
-        self._left_dense = ldense
 
     # -- basic queries ----------------------------------------------------
 
@@ -161,11 +133,14 @@ class TimeScale:
 
     @property
     def is_discrete(self):
-        return all(p.kind == "atom" for p in self.pieces)
+        return not self.intervals
 
     @property
     def b_left_scattered(self):
-        return not self._left_dense[-1]
+        return self._left_scattered(len(self.points) - 1)
+
+    def _left_scattered(self, i):
+        return bool(i > 0 and self._mu[i - 1] > 0.0)
 
     def index_of(self, t):
         """Index of t in the evaluation grid, matched to absolute tolerance."""
@@ -205,15 +180,11 @@ class TimeScale:
 
     def sigma(self, t):
         i = self.index_of(t)
-        if self._right_dense[i]:
-            return float(self.points[i])
-        return float(self.points[i + 1])
+        return float(self.points[i + 1 if self._mu[i] > 0.0 else i])
 
     def rho(self, t):
         i = self.index_of(t)
-        if self._left_dense[i]:
-            return float(self.points[i])
-        return float(self.points[i - 1])
+        return float(self.points[i - 1 if self._left_scattered(i) else i])
 
     def mu(self, t):
         return float(self._mu[self.index_of(t)])
@@ -224,53 +195,55 @@ class TimeScale:
 
     # -- integration ------------------------------------------------------
 
+    def _intervals_on_grid(self, vals):
+        """Node indices (k, m+1), node values (..., k, m+1) and node
+        spacing (k,) of the k continuous intervals."""
+        start, stop = self._spans[:, 0], self._spans[:, 1]
+        idx = start[:, None] + np.arange(_force_odd(self.quad_nodes_per_interval))
+        h = (self.points[stop - 1] - self.points[start]) / (idx.shape[1] - 1)
+        return idx, vals[..., idx], h
+
+    def _amounts(self, vals):
+        """Integral over each grid gap [t_i, t_{i+1}], along the last axis.
+
+        Right-scattered gaps give mu * f; continuous gaps use the
+        fourth-order stencils of their whole interval.
+        """
+        out = self._mu[:-1] * vals[..., :-1]
+        if self.intervals:
+            idx, f, h = self._intervals_on_grid(vals)
+            out[..., idx[:, :-1]] = (h / 24.0)[:, None] * _cubic_stencils(f)
+        return out
+
     def delta_integral(self, f, lo=None, hi=None):
         """Delta integral of a grid function from lo to hi.
 
         Right-scattered points contribute mu(t) * f(t); interval segments are
-        integrated by the fourth-order piecewise quadrature.
+        integrated by the fourth-order piecewise quadrature.  A sub-range
+        whose lo or hi lies strictly inside an interval still uses the
+        stencils of the whole interval, so it equals ``cum[hi] - cum[lo]``
+        of :meth:`cumulative_delta_integral` and integrals are additive at
+        every grid point up to rounding.  ``f`` may also be an array of
+        shape (..., n); the integral is then taken along the last axis and
+        returned as an array.
         """
         vals = _grid_values(self, f)
         ilo = self.index_of(self.a if lo is None else lo)
         ihi = self.index_of(self.b if hi is None else hi)
         if ilo > ihi:
             raise DomainError("delta_integral requires lo <= hi")
-        if ilo == ihi:
-            return 0.0
-        total = 0.0
-        mu = self._mu
-        for i in range(ilo, ihi):
-            if mu[i] > 0.0:
-                total += mu[i] * vals[i]
-        for p in self.pieces:
-            if p.kind != "interval":
-                continue
-            s = max(p.start, ilo)
-            e = min(p.stop - 1, ihi)
-            if e - s >= 1:
-                total += _integrate_uniform(self.points[s:e + 1], vals[s:e + 1])
-        return total
+        total = self._amounts(vals)[..., ilo:ihi].sum(axis=-1)
+        return float(total) if total.ndim == 0 else total
 
     def cumulative_delta_integral(self, f):
         """Integral from a to every evaluation point, as an array.
 
-        Uses full-piece quadrature stencils on continuous segments so the
+        The running sum of the same amounts ``delta_integral`` sums, so the
         cumulative values are smooth samples of the true running integral.
         """
         vals = _grid_values(self, f)
-        n = len(self.points)
-        amounts = np.zeros(n - 1) if n > 1 else np.zeros(0)
-        mu = self._mu
-        for i in range(n - 1):
-            if mu[i] > 0.0:
-                amounts[i] = mu[i] * vals[i]
-        for p in self.pieces:
-            if p.kind == "interval":
-                x = self.points[p.start:p.stop]
-                fx = vals[p.start:p.stop]
-                amounts[p.start:p.stop - 1] = _subinterval_amounts(x, fx)
-        out = np.zeros(n)
-        np.cumsum(amounts, out=out[1:])
+        out = np.zeros_like(vals)
+        np.cumsum(self._amounts(vals), axis=-1, out=out[..., 1:])
         return out
 
     # -- differentiation --------------------------------------------------
@@ -289,25 +262,19 @@ class TimeScale:
         """Delta derivative at every evaluation point; NaN at b when excluded.
 
         Right-scattered points use the exact difference quotient; right-dense
-        points use fourth-order finite differences on the interval's nodes.
+        points use fourth-order finite differences on the interval's nodes
+        (the earlier interval's at a node two touching intervals share).
+        Works along the last axis of an array of shape (..., n).
         """
         vals = _grid_values(self, y)
-        n = len(self.points)
-        out = np.full(n, np.nan)
-        mu = self._mu
-        for i in range(n - 1):
-            if mu[i] > 0.0:
-                out[i] = (vals[i + 1] - vals[i]) / mu[i]
-        for p in self.pieces:
-            if p.kind == "interval":
-                d = _differentiate_uniform(self.points[p.start:p.stop],
-                                           vals[p.start:p.stop])
-                sl = slice(p.start, p.stop)
-                # scattered quotient wins at a shared right endpoint
-                take = np.isnan(out[sl])
-                out[sl] = np.where(take, d, out[sl])
-        if self.b_left_scattered:
-            out[n - 1] = np.nan
+        out = np.empty_like(vals)
+        out[..., :-1] = np.diff(vals, axis=-1) / np.diff(self.points)
+        out[..., -1] = np.nan
+        if self.intervals:
+            idx, f, h = self._intervals_on_grid(vals)
+            own = self._mu[idx] == 0.0
+            own[1:, 0] &= idx[1:, 0] != idx[:-1, -1]
+            out[..., idx[own]] = _difference_stencils(f, h)[..., own]
         return out
 
 
@@ -353,7 +320,7 @@ def _grid_values(ts, f):
             raise DomainError("grid function lives on a different time scale")
         return f.values
     vals = np.asarray(f, dtype=float)
-    if len(vals) != len(ts.points):
+    if vals.shape[-1:] != (len(ts.points),):
         raise DomainError("value array length does not match the time scale")
     return vals
 
@@ -393,64 +360,46 @@ def custom(atoms=(), intervals=(), quad_nodes_per_interval=None):
                      quad_nodes_per_interval=quad_nodes_per_interval)
 
 
-# -- uniform-grid quadrature and differentiation --------------------------
+# -- uniform-grid stencils, along the last axis of node values -------------
 
 
-def _subinterval_amounts(x, fx):
-    """Fourth-order integral amounts per subinterval of a uniform grid.
+def _cubic_stencils(f):
+    """24/h times the fourth-order integral of every subinterval.
 
     Interior subintervals integrate the cubic through the four surrounding
-    nodes; the first and last use the one-sided cubic.  Exact for cubics,
-    additive by construction.
+    nodes; the first and last use the one-sided cubic.  Exact for cubics.
+    Needs at least 5 nodes.
     """
-    m = len(x) - 1
-    h = (x[-1] - x[0]) / m
-    f = np.asarray(fx, dtype=float)
-    if m == 1:
-        return np.array([0.5 * h * (f[0] + f[1])])
-    if m == 2:
-        # split Simpson's rule so amounts stay additive
-        whole = h / 3.0 * (f[0] + 4.0 * f[1] + f[2])
-        left = h / 12.0 * (5.0 * f[0] + 8.0 * f[1] - f[2])
-        return np.array([left, whole - left])
-    amounts = np.empty(m)
-    amounts[1:m - 1] = (h / 24.0) * (
-        -f[0:m - 2] + 13.0 * f[1:m - 1] + 13.0 * f[2:m] - f[3:m + 1]
-    )
-    amounts[0] = (h / 24.0) * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
-    amounts[m - 1] = (h / 24.0) * (
-        9.0 * f[m] + 19.0 * f[m - 1] - 5.0 * f[m - 2] + f[m - 3]
-    )
-    return amounts
+    c = np.empty(f.shape[:-1] + (f.shape[-1] - 1,))
+    c[..., 1:-1] = -f[..., :-3] + 13.0 * f[..., 1:-2] + 13.0 * f[..., 2:-1] - f[..., 3:]
+    c[..., 0] = 9.0 * f[..., 0] + 19.0 * f[..., 1] - 5.0 * f[..., 2] + f[..., 3]
+    c[..., -1] = 9.0 * f[..., -1] + 19.0 * f[..., -2] - 5.0 * f[..., -3] + f[..., -4]
+    return c
 
 
-def _integrate_uniform(x, fx):
-    return float(np.sum(_subinterval_amounts(x, fx)))
-
-
-def _differentiate_uniform(x, fx):
-    """Fourth-order finite differences on a uniform grid (>= 5 nodes)."""
-    f = np.asarray(fx, dtype=float)
-    n = len(f)
-    h = (x[-1] - x[0]) / (n - 1)
-    if n < 5:
-        return np.gradient(f, h, edge_order=2 if n >= 3 else 1)
-    d = np.empty(n)
-    d[2:n - 2] = (f[0:n - 4] - 8.0 * f[1:n - 3] + 8.0 * f[3:n - 1] - f[4:n]) / (12.0 * h)
+def _difference_stencils(f, h):
+    """Fourth-order finite differences on a uniform grid (>= 5 nodes) with
+    spacing h broadcast against the second-to-last axis."""
+    n = f.shape[-1]
+    d = np.empty(f.shape)
+    d[..., 2:-2] = (f[..., :-4] - 8.0 * f[..., 1:-3] + 8.0 * f[..., 3:-1]
+                    - f[..., 4:]) / (12.0 * h[:, None])
     if n == 5:
-        d[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-        d[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
-        d[3] = (3.0 * f[4] + 10.0 * f[3] - 18.0 * f[2] + 6.0 * f[1] - f[0]) / (12.0 * h)
-        d[4] = (25.0 * f[4] - 48.0 * f[3] + 36.0 * f[2] - 16.0 * f[1] + 3.0 * f[0]) / (12.0 * h)
+        d[..., 0] = (-25.0 * f[..., 0] + 48.0 * f[..., 1] - 36.0 * f[..., 2]
+                     + 16.0 * f[..., 3] - 3.0 * f[..., 4]) / (12.0 * h)
+        d[..., 1] = (-3.0 * f[..., 0] - 10.0 * f[..., 1] + 18.0 * f[..., 2]
+                     - 6.0 * f[..., 3] + f[..., 4]) / (12.0 * h)
+        d[..., 3] = (3.0 * f[..., 4] + 10.0 * f[..., 3] - 18.0 * f[..., 2]
+                     + 6.0 * f[..., 1] - f[..., 0]) / (12.0 * h)
+        d[..., 4] = (25.0 * f[..., 4] - 48.0 * f[..., 3] + 36.0 * f[..., 2]
+                     - 16.0 * f[..., 1] + 3.0 * f[..., 0]) / (12.0 * h)
         return d
     # sixth-node one-sided stencils keep the boundary error below the
     # interior error instead of dominating it
-    w0 = _EDGE0_W
-    w1 = _EDGE1_W
-    d[0] = (w0 @ f[:6]) / h
-    d[1] = (w1 @ f[:6]) / h
-    d[n - 2] = -(w1 @ f[n - 6:][::-1]) / h
-    d[n - 1] = -(w0 @ f[n - 6:][::-1]) / h
+    d[..., 0] = (f[..., :6] @ _EDGE0_W) / h
+    d[..., 1] = (f[..., :6] @ _EDGE1_W) / h
+    d[..., -2] = -(f[..., :-7:-1] @ _EDGE1_W) / h
+    d[..., -1] = -(f[..., :-7:-1] @ _EDGE0_W) / h
     return d
 
 
@@ -467,10 +416,14 @@ def averaged_chain_factor(gprime, y_t, mu_t, ydelta_t):
     Equals (A(y + s) - A(y)) / s with A an antiderivative of gprime and
     s = mu * ydelta; collapses to gprime(y) when s vanishes.  Multiplied by
     the delta derivative it reproduces the chain rule for (A o y)^Delta.
+    Works elementwise on broadcast arrays; scalar inputs give a float.
     """
-    s = mu_t * ydelta_t
-    if abs(s) < 1e-12:
-        gprime.check_domain(y_t)
-        return float(gprime(y_t))
-    gprime.check_domain(np.array([y_t, y_t + s]))
-    return float((gprime.antideriv(y_t + s) - gprime.antideriv(y_t)) / s)
+    y, s = np.broadcast_arrays(np.asarray(y_t, dtype=float),
+                               np.asarray(mu_t, dtype=float) * ydelta_t)
+    jump = np.abs(s) >= 1e-12
+    z = np.where(jump, y + s, y)          # far end of each averaging segment
+    gprime.check_domain(y)
+    gprime.check_domain(z)
+    out = np.array(gprime(y), dtype=float)
+    np.divide(gprime.antideriv(z) - gprime.antideriv(y), s, out=out, where=jump)
+    return float(out) if out.ndim == 0 else out

@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetError, PreconditionError
+from .errors import (AdmissibilityError, BudgetError, DomainError,
+                     PreconditionError)
 from .solvers import VariationalProblem, evaluate_functional, solve
 from .timescale import GridFunction, real_interval
 
@@ -25,6 +26,10 @@ CERTIFY_SLACK = 1e-9
 
 #: perturbation mode: a candidate is refuted if some neighbour improves by more
 PERTURB_SLACK = 1e-12
+
+#: candidate rows per evaluate_functional call in the exhaustive and random
+#: modes, which bounds their working memory
+BATCH_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -64,46 +69,14 @@ def _require_discrete(p, max_atoms=None):
         raise PreconditionError(f"oracle limited to {max_atoms} atoms")
 
 
-def _discrete_objective(p):
-    """Fast functional evaluation from an increment vector on a discrete scale.
-
-    Returns (objective, mu) where objective maps a 2-D array of increment
-    rows to functional values.  Matches evaluate_functional on admissible
-    candidates (covered by tests).
-    """
-    ts = p.ts
-    mu = np.diff(ts.points)
-    t = ts.points[:-1]
-    if p.kind == "exp_derivative":
-        phi_t = np.asarray(p.phi(t), dtype=float)
-
-        def objective(D):
-            return (phi_t * np.exp(D / mu)) @ mu
-
-    elif p.kind == "xlogx_shifted":
-        phi_t = np.asarray(p.phi(t), dtype=float)
-
-        def objective(D):
-            s = phi_t + D / mu
-            return (s * np.log(s)) @ mu
-
-    else:
-        alpha = p.alpha
-        phi = p.phi
-
-        def objective(D):
-            Y = np.concatenate([np.zeros((len(D), 1)), np.cumsum(D, axis=1)],
-                               axis=1)
-            # averaged chain factor in closed form: (G(y + d) - G(y)) / d
-            diff = (phi.antideriv(Y[:, 1:]) - phi.antideriv(Y[:, :-1]))
-            return (diff / mu) ** alpha @ mu
-
-    return objective, mu
-
-
-def _candidate(p, increments):
-    y = np.concatenate([[0.0], np.cumsum(increments)])
-    return GridFunction(p.ts, y)
+def _evaluate_rows(p, D, sign):
+    """Sign-adjusted functional values of the trajectories whose increments
+    are the rows of D, with those trajectories."""
+    # column-major, so the kernels' row-wise operations run over long
+    # contiguous columns instead of many short rows
+    Y = np.zeros((len(D), D.shape[1] + 1), order="F")
+    np.cumsum(D, axis=1, out=Y[:, 1:])
+    return sign * evaluate_functional(p, Y, check_admissible=False), Y
 
 
 def _closed_form(p):
@@ -141,7 +114,6 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
     if resolution <= 0:
         raise PreconditionError("resolution must be positive")
     sol, closed, extremum = _closed_form(p)
-    objective, _ = _discrete_objective(p)
     n = len(p.ts.points) - 1
     B = float(p.B)
 
@@ -161,7 +133,7 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
 
     sign = 1.0 if extremum == "min" else -1.0
     best_val = math.inf        # in sign-adjusted (minimization) terms
-    best_inc = None
+    best_y = None
     evaluated = 0
     chunks = []
     if n == 1:
@@ -171,10 +143,10 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
     batch = []
 
     def flush():
-        nonlocal best_val, best_inc, evaluated
+        nonlocal best_val, best_y, evaluated
         if not batch:
             return
-        vals = sign * objective(np.array(batch))
+        vals, Y = _evaluate_rows(p, np.array(batch), sign)
         chunks.append(vals)
         evaluated += len(batch)
         i = int(np.argmin(vals))
@@ -182,7 +154,7 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
         # smallest minimizer as the deterministic tie-break
         if vals[i] < best_val:
             best_val = float(vals[i])
-            best_inc = batch[i]
+            best_y = Y[i].copy()
         batch.clear()
 
     for ks in candidates:
@@ -191,14 +163,14 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
         if tail <= 0:
             continue
         batch.append(head + [tail])
-        if len(batch) >= 4096:
+        if len(batch) >= BATCH_ROWS:
             flush()
     flush()
 
     optima = sum(int(np.count_nonzero(v <= best_val + CERTIFY_SLACK))
                  for v in chunks)
     best_val *= sign
-    best = _candidate(p, best_inc) if best_inc is not None else None
+    best = GridFunction(p.ts, best_y) if best_y is not None else None
     return OracleReport(
         candidates_evaluated=evaluated,
         best_value_found=float(best_val),
@@ -218,19 +190,23 @@ def random_verify(p: VariationalProblem, samples: int, seed: int) -> OracleRepor
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
     sol, closed, extremum = _closed_form(p)
-    objective, _ = _discrete_objective(p)
     n = len(p.ts.points) - 1
     rng = np.random.default_rng(seed)
-    W = 1.0 - rng.random((samples, n))           # uniform in (0, 1]
-    D = W / W.sum(axis=1, keepdims=True) * float(p.B)
     sign = 1.0 if extremum == "min" else -1.0
-    vals = sign * objective(D)
-    i_best = int(np.argmin(vals))
-    best_val = sign * float(vals[i_best])
+    best_val, best_y = math.inf, None     # in sign-adjusted (minimization) terms
+    for start in range(0, samples, BATCH_ROWS):
+        W = 1.0 - rng.random((min(BATCH_ROWS, samples - start), n))  # in (0, 1]
+        vals, Y = _evaluate_rows(p, W / W.sum(axis=1, keepdims=True) * float(p.B),
+                                 sign)
+        i = int(np.argmin(vals))
+        if best_y is None or vals[i] < best_val:
+            best_val = float(vals[i])
+            best_y = Y[i].copy()
+    best_val *= sign
     return OracleReport(
         candidates_evaluated=samples,
         best_value_found=best_val,
-        best_candidate=_candidate(p, D[i_best]),
+        best_candidate=GridFunction(p.ts, best_y),
         closed_form_value=closed,
         verdict=_verdict(best_val, closed, extremum),
         mode=f"random(samples={samples}, seed={seed})",
@@ -286,7 +262,7 @@ def perturbation_verify(p: VariationalProblem, eps: float,
                 val = evaluate_functional(p, cand)
                 y_pert = cand
                 break
-            except Exception:
+            except (AdmissibilityError, DomainError):
                 e *= 0.5
         if val is None:
             raise PreconditionError(

@@ -104,6 +104,29 @@ class TestSolve:
         assert code == 2
 
 
+    @pytest.mark.parametrize("scale,missing", [
+        ({"kind": "uniform", "a": 0, "b": 5}, "n"),
+        ({"kind": "uniform", "b": 5, "n": 5}, "a"),
+        ({"kind": "q_scale", "q": 2, "n": 0}, "m"),
+        ({"kind": "q_scale", "n": 0, "m": 3}, "q"),
+        ({"kind": "real_interval", "a": 0}, "b"),
+    ])
+    def test_missing_scale_key_exit_2(self, tmp_path, capsys, scale, missing):
+        bad = dict(WORKED_PROBLEM, timescale=scale)
+        f = write_json(tmp_path / "p.json", bad)
+        code, out, err = run_cli(["solve", f, "-o", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err.startswith("error[parse]") and repr(missing) in err
+
+    def test_extra_scale_key_still_accepted(self, tmp_path, capsys):
+        ok = dict(WORKED_PROBLEM,
+                  timescale={"kind": "uniform", "a": 0, "b": 5, "n": 5,
+                             "nodes": 9})
+        f = write_json(tmp_path / "p.json", ok)
+        code, _, _ = run_cli(["solve", f, "-o", str(tmp_path / "out")], capsys)
+        assert code == 0
+
+
 class TestCheck:
     def test_weighted_jensen(self, tmp_path, capsys):
         payload = {

@@ -9,6 +9,7 @@ from tsvar import (
     Affine,
     Constant,
     DegenerateProblemError,
+    DomainError,
     Exp,
     FeasibilityError,
     GridFunction,
@@ -25,6 +26,7 @@ from tsvar import (
     uniform,
 )
 from tsvar.generators import random_admissible_trajectory
+from tsvar.roots import invert_increasing
 from tsvar.solvers import weight_antiderivative
 
 
@@ -258,3 +260,21 @@ class TestEvaluateFunctional:
             assert evaluate_functional(p0, y) == pytest.approx(2.0, abs=1e-8)
             assert evaluate_functional(p1, y) == pytest.approx(float(G(3.0)),
                                                                abs=1e-8)
+
+
+class TestInvertIncreasing:
+    def test_converges(self):
+        x = invert_increasing(math.exp, 3.0, 0.0, 5.0, gprime=math.exp)
+        assert abs(math.exp(x) - 3.0) <= 1e-12
+
+    def test_unconverged_raises(self):
+        # one step from the bracket midpoint cannot reach the tolerance
+        with pytest.raises(DomainError):
+            invert_increasing(math.exp, 3.0, 0.0, 5.0, gprime=math.exp,
+                              max_iter=1)
+
+    def test_float_spacing_counts_as_converged(self):
+        # near 1e13 floats are ~2e-3 apart, so |g(x) - target| <= 1e-12 is
+        # out of reach; a bracket a float or two wide is the answer
+        x = invert_increasing(math.exp, 1e13, 0.0, gprime=math.exp)
+        assert x == pytest.approx(13.0 * math.log(10.0), rel=1e-15)

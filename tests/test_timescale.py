@@ -51,6 +51,10 @@ class TestConstruction:
         lambda: custom(atoms=[0, 0.5], intervals=[(0, 1)]),
         lambda: custom(intervals=[(0, 2), (1, 3)]),
         lambda: custom(atoms=[1, 1]),
+        lambda: custom(atoms=None),
+        lambda: custom(atoms=[0.0, math.nan]),
+        lambda: custom(intervals=[(0.0, math.inf)]),
+        lambda: custom(intervals=[(0.0, 1.0, 2.0)]),
     ])
     def test_rejects_degenerate(self, bad):
         with pytest.raises(ConstructionError):
@@ -60,6 +64,33 @@ class TestConstruction:
         ts = custom(atoms=[1.0], intervals=[(0.0, 1.0)],
                     quad_nodes_per_interval=5)
         assert len(ts.points) == 5
+
+    def test_touching_intervals_share_a_node(self):
+        ts = custom(intervals=[(0.0, 1.0), (1.0, 2.0)],
+                    quad_nodes_per_interval=5)
+        assert np.array_equal(ts.points, np.linspace(0.0, 2.0, 9))
+        assert ts.mu(1.0) == 0.0 and ts.sigma(1.0) == 1.0
+        assert ts.rho(1.0) == 1.0 and not ts.b_left_scattered
+
+    def test_intervals_out_of_order(self):
+        a = custom(intervals=[(2.0, 3.0), (0.0, 1.0)], quad_nodes_per_interval=5)
+        b = custom(intervals=[(0.0, 1.0), (2.0, 3.0)], quad_nodes_per_interval=5)
+        assert np.array_equal(a.points, b.points)
+        assert a.intervals == ((0.0, 1.0), (2.0, 3.0))
+        assert a.sigma(1.0) == 2.0 and a.mu(1.0) == 1.0 and a.rho(2.0) == 1.0
+
+    def test_atom_between_intervals(self):
+        ts = custom(atoms=[1.5], intervals=[(0.0, 1.0), (2.0, 3.0)],
+                    quad_nodes_per_interval=5)
+        assert len(ts.points) == 11 and ts.atoms == (1.5,)
+        assert ts.jump_operators(1.0) == (1.5, 1.0, 0.5)
+        assert ts.jump_operators(1.5) == (2.0, 1.0, 0.5)
+        assert ts.jump_operators(2.0) == (2.0, 1.5, 0.0)
+        y = GridFunction(ts, ts.points ** 2)
+        # scattered points take the exact quotient, dense ones the stencil
+        assert ts.delta_derivative(y, 1.0) == (1.5 ** 2 - 1.0) / 0.5
+        assert ts.delta_derivative(y, 1.5) == (4.0 - 1.5 ** 2) / 0.5
+        assert ts.delta_derivative(y, 2.5) == pytest.approx(5.0, abs=1e-12)
 
 
 class TestJumpOperators:
@@ -147,6 +178,25 @@ class TestDeltaIntegral:
         cum = ts.cumulative_delta_integral(f)
         assert cum[-1] == pytest.approx(ts.delta_integral(f), abs=1e-14)
         assert cum[0] == 0.0
+
+    def test_subrange_equals_cumulative_difference(self):
+        # one integration rule: a cut at interior nodes uses the stencils
+        # of the whole interval, so it matches the running integral
+        ts = custom(atoms=[3.0], intervals=[(0.0, 2.0)], quad_nodes_per_interval=17)
+        f = GridFunction(ts, np.exp(-ts.points) * np.sin(3.0 * ts.points))
+        cum = ts.cumulative_delta_integral(f)
+        for lo, hi in [(0.25, 1.5), (0.125, 0.25), (1.0, 3.0), (0.0, 0.875)]:
+            part = ts.delta_integral(f, lo, hi)
+            assert part == pytest.approx(cum[ts.index_of(hi)] - cum[ts.index_of(lo)],
+                                         abs=1e-14)
+
+    def test_subrange_exact_on_cubic(self):
+        ts = real_interval(0.0, 2.0, 9)
+        f = GridFunction(ts, ts.points ** 3 - 2.0 * ts.points + 1.0)
+        F = lambda t: t ** 4 / 4.0 - t ** 2 + t
+        for lo, hi in [(0.5, 1.25), (0.25, 0.5), (0.75, 2.0)]:
+            assert ts.delta_integral(f, lo, hi) == pytest.approx(F(hi) - F(lo),
+                                                                 abs=1e-14)
 
     def test_domain_errors(self):
         ts = custom(atoms=[0, 1, 2])

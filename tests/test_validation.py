@@ -24,7 +24,7 @@ from tsvar import (
     wsc_counterexample,
 )
 from tsvar.generators import random_discrete_timescale
-from tsvar.validation import _discrete_objective
+import tsvar.validation as validation
 
 
 def worked_problem():
@@ -145,7 +145,24 @@ class TestRandom:
             done += 1
 
 
+def discrete_sum(p, y):
+    """The functional on a discrete scale as the plain sum over its gaps."""
+    mu = np.diff(p.ts.points)
+    d = np.diff(y) / mu
+    phi_t = p.phi(p.ts.points[:-1])
+    if p.kind == "exp_derivative":
+        terms = phi_t * np.exp(d)
+    elif p.kind == "xlogx_shifted":
+        terms = (phi_t + d) * np.log(phi_t + d)
+    else:
+        terms = (np.diff(p.phi.antideriv(y)) / mu) ** p.alpha
+    return float(np.sum(mu * terms))
+
+
 class TestDiscreteObjective:
+    """The oracles' batched evaluation equals the per-row evaluation and
+    the plain sum over the gaps."""
+
     @pytest.mark.parametrize("kind,phi,B,alpha", [
         ("power_weighted", Exp(), 2.0, 2.0),
         ("power_weighted", Affine(1.0, 0.5), 1.5, -1.0),
@@ -155,15 +172,16 @@ class TestDiscreteObjective:
     def test_matches_evaluate_functional(self, kind, phi, B, alpha):
         ts = custom(atoms=[0.0, 0.5, 1.25, 2.0, 3.0])
         p = VariationalProblem(kind, ts, B, phi, alpha=alpha)
-        objective, mu = _discrete_objective(p)
         rng = np.random.default_rng(5)
-        W = 1.0 - rng.random((20, len(mu)))
+        W = 1.0 - rng.random((20, len(ts.points) - 1))
         D = W / W.sum(axis=1, keepdims=True) * B
-        fast = objective(D)
-        for row, v in zip(D, fast):
-            y = GridFunction(ts, np.concatenate([[0.0], np.cumsum(row)]))
-            assert evaluate_functional(p, y) == pytest.approx(float(v),
-                                                              abs=1e-10)
+        Y = np.concatenate([np.zeros((len(D), 1)), np.cumsum(D, axis=1)], axis=1)
+        batched = evaluate_functional(p, Y, check_admissible=False)
+        assert batched.shape == (20,)
+        for row, v in zip(Y, batched):
+            assert evaluate_functional(p, GridFunction(ts, row)) == \
+                pytest.approx(float(v), abs=1e-10)
+            assert discrete_sum(p, row) == pytest.approx(float(v), abs=1e-10)
 
 
 class TestPerturbation:
@@ -199,6 +217,22 @@ class TestPerturbation:
     def test_bad_eps(self):
         with pytest.raises(PreconditionError):
             perturbation_verify(worked_problem(), eps=-1.0)
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        # only admissibility and domain failures shrink eps; anything else
+        # is a fault and must surface unchanged
+        p = worked_problem()
+        base = solve(p).trajectory
+        real = validation.evaluate_functional
+
+        def broken(problem, y, check_admissible=True):
+            if y is base:
+                return real(problem, y, check_admissible)
+            raise RuntimeError("evaluator fault")
+
+        monkeypatch.setattr(validation, "evaluate_functional", broken)
+        with pytest.raises(RuntimeError, match="evaluator fault"):
+            perturbation_verify(p, eps=1e-3, trajectory=base)
 
 
 class TestWsc:
