@@ -201,12 +201,35 @@ def parse_check_file(raw):
     raise SchemaError(f"check: unknown kind {kind!r}")
 
 
+#: the keys whose values are strings; every other leaf of an input file
+#: must be a finite number, so NaN, Infinity, a bool, a string or null there
+#: is a schema error, never coerced
+_STRING_KEYS = {"schema_version", "kind", "family", "mode"}
+
+
+def _check_leaves(value, key):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _check_leaves(v, k)
+    elif isinstance(value, list):
+        for v in value:
+            _check_leaves(v, key)
+    elif key in _STRING_KEYS:
+        if not isinstance(value, str):
+            raise SchemaError(f"{key!r} must be a string, got {value!r}")
+    # false for NaN, for infinities and for ints beyond the float range
+    elif type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise SchemaError(f"{key!r} must be a finite number, got {value!r}")
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    _check_leaves(raw, "file")
+    return raw
 
 
 # -- output ---------------------------------------------------------------

@@ -343,7 +343,11 @@ def q_scale(q, n, m, **kw):
         raise ConstructionError("q_scale requires q > 1")
     if not n < m:
         raise ConstructionError("q_scale requires n < m")
-    return TimeScale(atoms=[float(q) ** k for k in range(int(n), int(m) + 1)], **kw)
+    try:
+        atoms = [float(q) ** k for k in range(int(n), int(m) + 1)]
+    except OverflowError:
+        raise ConstructionError(f"q_scale atom {q}**{m} overflows a float") from None
+    return TimeScale(atoms=atoms, **kw)
 
 
 def real_interval(a, b, nodes=None):

@@ -9,6 +9,7 @@ values against the closed-form optimum.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -92,23 +93,18 @@ def _verdict(best, closed, extremum):
     return "certified" if ok else "refuted"
 
 
-def _compositions_leq(parts, bound):
-    """All tuples of `parts` integers >= 1 with sum <= bound, lexicographic."""
-    if parts == 0:
-        yield ()
-        return
-    for k in range(1, bound - parts + 2):
-        for rest in _compositions_leq(parts - 1, bound - k):
-            yield (k,) + rest
-
-
 def exhaustive_verify(p: VariationalProblem, resolution: float,
                       budget: int = 10 ** 7) -> OracleReport:
     """Enumerate every lattice-admissible trajectory and compare with the
     closed form.
 
-    Increments are positive multiples of `resolution`; when B is not a
-    lattice multiple the final increment absorbs the remainder.
+    The first n-1 increments are positive multiples of `resolution`; the
+    last, the remainder up to B, must be positive (it absorbs the fraction
+    when B is not a lattice multiple).  That gives C(bound, n-1) candidates,
+    bound the largest lattice sum leaving a positive remainder.  The best is
+    the first candidate, in lexicographic order, with the smallest computed
+    value (largest for a maximum); `optima_count` counts the candidates
+    within CERTIFY_SLACK of it.
     """
     _require_discrete(p, max_atoms=8)
     if resolution <= 0:
@@ -121,10 +117,7 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
     m = int(math.floor(ratio + 1e-9))
     exact = abs(ratio - round(ratio)) <= 1e-9
     bound = m - 1 if exact else m       # max lattice sum leaving a positive tail
-    if n == 1:
-        count = 1
-    else:
-        count = math.comb(bound, n - 1) if bound >= n - 1 else 0
+    count = math.comb(max(bound, 0), n - 1)
     if count > budget:
         raise BudgetError(
             f"{count} candidates exceed the budget of {budget}; "
@@ -134,41 +127,27 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
     sign = 1.0 if extremum == "min" else -1.0
     best_val = math.inf        # in sign-adjusted (minimization) terms
     best_y = None
+    near = np.empty(0)         # values within CERTIFY_SLACK of the running best
     evaluated = 0
-    chunks = []
-    if n == 1:
-        candidates = iter([()])
-    else:
-        candidates = _compositions_leq(n - 1, bound)
-    batch = []
-
-    def flush():
-        nonlocal best_val, best_y, evaluated
-        if not batch:
-            return
-        vals, Y = _evaluate_rows(p, np.array(batch), sign)
-        chunks.append(vals)
-        evaluated += len(batch)
+    subsets = itertools.combinations(range(1, bound + 1), n - 1)
+    while block := list(itertools.islice(subsets, BATCH_ROWS)):
+        head = np.diff(np.array(block), axis=1, prepend=0) * resolution
+        # at most 6 terms a row under the 8-atom cap: numpy adds them in order
+        tail = B - head.sum(axis=1)
+        keep = tail > 0
+        if not keep.any():
+            continue
+        vals, Y = _evaluate_rows(p, np.column_stack([head[keep], tail[keep]]),
+                                 sign)
+        evaluated += len(vals)
         i = int(np.argmin(vals))
-        # enumeration is lexicographic, so strict < keeps the lexicographically
-        # smallest minimizer as the deterministic tie-break
         if vals[i] < best_val:
             best_val = float(vals[i])
             best_y = Y[i].copy()
-        batch.clear()
+        # the best only falls, so values dropped here never count again
+        near = np.concatenate([near, vals])
+        near = near[near <= best_val + CERTIFY_SLACK]
 
-    for ks in candidates:
-        head = [k * resolution for k in ks]
-        tail = B - sum(head)
-        if tail <= 0:
-            continue
-        batch.append(head + [tail])
-        if len(batch) >= BATCH_ROWS:
-            flush()
-    flush()
-
-    optima = sum(int(np.count_nonzero(v <= best_val + CERTIFY_SLACK))
-                 for v in chunks)
     best_val *= sign
     best = GridFunction(p.ts, best_y) if best_y is not None else None
     return OracleReport(
@@ -178,7 +157,7 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
         closed_form_value=closed,
         verdict=_verdict(best_val, closed, extremum),
         mode=f"exhaustive(resolution={resolution})",
-        optima_count=optima,
+        optima_count=len(near),
     )
 
 

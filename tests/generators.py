@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 
-from .timescale import GridFunction, TimeScale
+from tsvar.timescale import GridFunction, TimeScale
 
 
 def random_discrete_timescale(rng: random.Random, min_atoms=2, max_atoms=12,

@@ -33,7 +33,7 @@ from tsvar import (
     weighted_jensen_gap,
     wsc_counterexample,
 )
-from tsvar.generators import (
+from generators import (
     random_admissible_trajectory,
     random_discrete_timescale,
     random_grid,

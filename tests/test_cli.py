@@ -118,6 +118,47 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error[parse]") and repr(missing) in err
 
+    @pytest.mark.parametrize("path,token", [
+        (("problem", "B"), "NaN"),
+        (("problem", "B"), "-Infinity"),
+        (("problem", "B"), "1e999"),          # overflows to inf
+        (("problem", "B"), "1" + "0" * 400),  # an int beyond the float range
+        (("problem", "B"), '"25"'),
+        (("problem", "B"), "null"),
+        (("timescale", "n"), "true"),
+        (("problem", "phi", "slope"), "false"),
+        (("problem", "kind"), "7"),
+        (("check", "f"), '["1", 2]'),
+    ])
+    def test_non_number_exit_2(self, tmp_path, capsys, path, token):
+        # only schema_version, kind, family and mode hold strings; every
+        # other value must be a finite JSON number, never coerced
+        f = tmp_path / "p.json"
+        if path[0] == "check":
+            payload = {"schema_version": "1",
+                       "timescale": {"kind": "custom", "atoms": [0, 1, 2]},
+                       "check": {"kind": "log", "f": [1, 4]}}
+            argv = ["check", str(f)]
+        else:
+            payload = json.loads(json.dumps(WORKED_PROBLEM))
+            argv = ["solve", str(f), "-o", str(tmp_path / "out")]
+        block = payload
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = "@@"
+        f.write_text(json.dumps(payload).replace('"@@"', token))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error[parse]")
+
+    def test_q_scale_overflow_exit_3(self, tmp_path, capsys):
+        bad = dict(WORKED_PROBLEM,
+                   timescale={"kind": "q_scale", "q": 2, "n": 0, "m": 5000})
+        f = write_json(tmp_path / "p.json", bad)
+        code, out, err = run_cli(["solve", f, "-o", str(tmp_path / "out")], capsys)
+        assert code == 3
+        assert err.startswith("error[precondition]") and "overflow" in err
+
     def test_extra_scale_key_still_accepted(self, tmp_path, capsys):
         ok = dict(WORKED_PROBLEM,
                   timescale={"kind": "uniform", "a": 0, "b": 5, "n": 5,

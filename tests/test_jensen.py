@@ -23,7 +23,7 @@ from tsvar import (
     uniform,
     weighted_jensen_gap,
 )
-from tsvar.generators import random_discrete_timescale, random_grid
+from generators import random_discrete_timescale, random_grid
 
 T3 = custom(atoms=[0, 1, 2])
 

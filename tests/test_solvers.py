@@ -25,7 +25,7 @@ from tsvar import (
     solve_xlogx_shifted,
     uniform,
 )
-from tsvar.generators import random_admissible_trajectory
+from generators import random_admissible_trajectory
 from tsvar.roots import invert_increasing
 from tsvar.solvers import weight_antiderivative
 

@@ -55,6 +55,7 @@ class TestConstruction:
         lambda: custom(atoms=[0.0, math.nan]),
         lambda: custom(intervals=[(0.0, math.inf)]),
         lambda: custom(intervals=[(0.0, 1.0, 2.0)]),
+        lambda: q_scale(2, 0, 5000),     # 2.0 ** 5000 overflows a float
     ])
     def test_rejects_degenerate(self, bad):
         with pytest.raises(ConstructionError):

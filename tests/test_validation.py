@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -23,7 +24,7 @@ from tsvar import (
     uniform,
     wsc_counterexample,
 )
-from tsvar.generators import random_discrete_timescale
+from generators import random_discrete_timescale
 import tsvar.validation as validation
 
 
@@ -85,6 +86,72 @@ class TestExhaustive:
     def test_bad_resolution(self):
         with pytest.raises(PreconditionError):
             exhaustive_verify(worked_problem(), resolution=0.0)
+
+    def test_float_near_ties(self):
+        # the three unit-lattice candidates, increments (1, 1, 2), (1, 2, 1)
+        # and (2, 1, 1), share one exact value, but (1, 1, 2) sums 1 ulp
+        # higher in float: the first strict minimum is the second candidate,
+        # and all three lie within CERTIFY_SLACK of it
+        p = VariationalProblem("exp_derivative", uniform(0, 3, 3), 4.0,
+                               Constant(1.0))
+        rep = exhaustive_verify(p, resolution=1.0)
+        assert rep.candidates_evaluated == 3
+        assert rep.optima_count == 3
+        assert rep.best_candidate.values.tolist() == [0, 1, 3, 4]
+
+    def test_exact_ties_across_blocks(self):
+        # with phi = 1 and alpha = 2 every value is a sum of squared integer
+        # increments, exact in float: the 7 orderings of (3, 3, 3, 3, 3, 3, 4)
+        # tie exactly, spread over several blocks of BATCH_ROWS candidates,
+        # and the first in lexicographic order is kept
+        p = VariationalProblem("power_weighted", uniform(0, 7, 7), 22.0,
+                               Constant(1.0), alpha=2.0)
+        rep = exhaustive_verify(p, resolution=1.0)
+        assert rep.candidates_evaluated == math.comb(21, 6)
+        assert rep.candidates_evaluated > 8 * validation.BATCH_ROWS
+        assert rep.best_value_found == 70.0
+        assert rep.optima_count == 7
+        assert np.diff(rep.best_candidate.values).tolist() == [3] * 6 + [4]
+
+    def test_atom_cap(self):
+        p = VariationalProblem("exp_derivative", uniform(0, 8, 8), 9.0,
+                               Constant(1.0))
+        with pytest.raises(PreconditionError, match="8 atoms"):
+            exhaustive_verify(p, resolution=1.0)
+
+    @pytest.mark.parametrize("kind,phi,alpha,B,resolution,count", [
+        ("exp_derivative", Affine(0.5, 1.0), None, 3.2, 0.1, 4495),
+        ("xlogx_shifted", Constant(1.0), None, 3.25, 0.1, 4960),
+        ("power_weighted", Exp(), 2.0, 1.3, 0.1, 220),
+        ("power_weighted", Constant(1.0), 0.5, 2.05, 0.1, 1140),
+    ])
+    def test_matches_product_enumeration(self, kind, phi, alpha, B,
+                                         resolution, count):
+        # an independent reference: every integer tuple of first n - 1
+        # increments whose lattice sum leaves a positive remainder, through
+        # evaluate_functional with admissibility checked
+        ts = custom(atoms=[0.0, 0.5, 1.25, 2.0, 3.0])
+        p = VariationalProblem(kind, ts, B, phi, alpha=alpha)
+        n = len(ts.points) - 1
+        top = math.ceil(B / resolution)
+        heads = np.array([ks for ks in itertools.product(range(1, top + 1),
+                                                         repeat=n - 1)
+                          if sum(ks) * resolution < B * (1 - 1e-9)],
+                         dtype=float) * resolution
+        D = np.column_stack([heads, B - heads.sum(axis=1)])
+        Y = np.concatenate([np.zeros((len(D), 1)), np.cumsum(D, axis=1)],
+                           axis=1)
+        sign = 1.0 if solve(p).extremum == "min" else -1.0
+        vals = sign * evaluate_functional(p, Y)
+        near = vals <= vals.min() + validation.CERTIFY_SLACK
+
+        rep = exhaustive_verify(p, resolution)
+        assert len(D) == count == rep.candidates_evaluated
+        assert rep.optima_count == np.count_nonzero(near)
+        assert sign * rep.best_value_found == pytest.approx(vals.min(),
+                                                            abs=1e-12)
+        assert np.any(np.all(np.isclose(Y[near], rep.best_candidate.values,
+                                        rtol=0, atol=1e-12), axis=1))
 
     def test_nonlattice_boundary(self):
         # B = 1.05 with resolution 0.5: the tail absorbs the remainder
