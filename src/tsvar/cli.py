@@ -25,18 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import functions, jensen, solvers, timescale, validation
-from .errors import (
-    AdmissibilityError,
-    BudgetError,
-    ClassificationError,
-    ConstructionError,
-    DegenerateProblemError,
-    DomainError,
-    FeasibilityError,
-    ParameterError,
-    PreconditionError,
-    SchemaError,
-)
+from .errors import DegenerateProblemError, SchemaError, TsvarError
 
 SCHEMA_VERSION = "1"
 
@@ -45,18 +34,6 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VIOLATED = 4
 EXIT_REFUTED = 5
-
-_PRECONDITION_ERRORS = (
-    AdmissibilityError,
-    BudgetError,
-    ClassificationError,
-    ConstructionError,
-    DegenerateProblemError,
-    DomainError,
-    FeasibilityError,
-    ParameterError,
-    PreconditionError,
-)
 
 
 def _fail(category, message):
@@ -206,6 +183,10 @@ def parse_check_file(raw):
 #: is a schema error, never coerced
 _STRING_KEYS = {"schema_version", "kind", "family", "mode"}
 
+#: the keys whose values are counts, exponents or seeds: a JSON integer
+#: there, never a float such as 2.5 or 2.0, which would be truncated
+_INT_KEYS = {"n", "m", "nodes", "quad_nodes", "samples", "seed"}
+
 
 def _check_leaves(value, key):
     if isinstance(value, dict):
@@ -217,9 +198,12 @@ def _check_leaves(value, key):
     elif key in _STRING_KEYS:
         if not isinstance(value, str):
             raise SchemaError(f"{key!r} must be a string, got {value!r}")
-    # false for NaN, for infinities and for ints beyond the float range
-    elif type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise SchemaError(f"{key!r} must be a finite number, got {value!r}")
+    else:
+        types, what = (((int,), "an integer") if key in _INT_KEYS
+                       else ((int, float), "a finite number"))
+        # false for NaN, for infinities and for ints beyond the float range
+        if type(value) not in types or not abs(value) <= sys.float_info.max:
+            raise SchemaError(f"{key!r} must be {what}, got {value!r}")
 
 
 def _load_json(path):
@@ -323,17 +307,22 @@ def cmd_verify(args):
     elif mode == "random":
         if "samples" not in oracle:
             raise SchemaError("random oracle needs samples")
-        report = validation.random_verify(problem, int(oracle["samples"]),
-                                          int(oracle.get("seed", 0)))
+        report = validation.random_verify(problem, oracle["samples"],
+                                          oracle.get("seed", 0))
     elif mode == "perturbation":
         if "eps" not in oracle:
             raise SchemaError("perturbation oracle needs eps")
         traj = None
         if args.corrupt is not None:
-            idx, delta = args.corrupt.split(":")
-            traj = solvers.solve(problem).trajectory
-            vals = traj.values.copy()
-            vals[int(idx)] += float(delta)
+            vals = solvers.solve(problem).trajectory.values.copy()
+            try:
+                idx, delta = args.corrupt.split(":")
+                vals[int(idx)] += float(delta)
+            except (ValueError, IndexError):
+                raise SchemaError(
+                    f"--corrupt wants INDEX:DELTA, an index of one of the "
+                    f"{len(vals)} points and a number; got {args.corrupt!r}"
+                ) from None
             traj = timescale.GridFunction(problem.ts, vals)
         report = validation.perturbation_verify(problem, float(oracle["eps"]),
                                                 trajectory=traj)
@@ -386,7 +375,7 @@ def main(argv=None):
     except DegenerateProblemError as exc:
         _fail("degenerate", f"{exc} (constant value {exc.constant_value})")
         code = EXIT_PRECONDITION
-    except _PRECONDITION_ERRORS as exc:
+    except TsvarError as exc:
         _fail("precondition", exc)
         code = EXIT_PRECONDITION
     sys.exit(code)

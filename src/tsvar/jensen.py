@@ -217,7 +217,7 @@ def _apply_inverse(fn, target, xmin, xmax):
     if increasing:
         return invert_increasing(fn, target, lo, hi)
     return invert_increasing(lambda x: -fn(x), -target, lo, hi,
-                             gprime=lambda x: -float(fn.deriv(x)))
+                             gprime=lambda x: -fn.deriv(x))
 
 
 POINT_PAD = 1e-9

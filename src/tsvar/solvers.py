@@ -125,15 +125,10 @@ def solve_power_weighted(p: VariationalProblem) -> Solution:
         raise DomainError("phi must be positive on [0, B]")
 
     C = float(G(B)) / span
-    a = ts.a
-    yvals = np.empty(len(ts.points))
-    for i, t in enumerate(ts.points):
-        target = C * (t - a)
-        if target <= 0.0:
-            yvals[i] = 0.0
-        else:
-            yvals[i] = invert_increasing(G, target, 0.0, gprime=phi)
-    yvals[0] = 0.0
+    target = C * (ts.points - ts.a)
+    pos = target > 0.0
+    yvals = np.zeros(len(ts.points))
+    yvals[pos] = invert_increasing(G, target[pos], 0.0, gprime=phi)
     traj = GridFunction(ts, yvals)
     _require_increasing(ts, traj)
     extremum = "min" if (alpha < 0.0 or alpha > 1.0) else "max"

@@ -104,7 +104,8 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
     bound the largest lattice sum leaving a positive remainder.  The best is
     the first candidate, in lexicographic order, with the smallest computed
     value (largest for a maximum); `optima_count` counts the candidates
-    within CERTIFY_SLACK of it.
+    within CERTIFY_SLACK of it.  An empty lattice (no n-1 positive
+    increments leave a positive tail) raises PreconditionError.
     """
     _require_discrete(p, max_atoms=8)
     if resolution <= 0:
@@ -148,6 +149,10 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
         near = np.concatenate([near, vals])
         near = near[near <= best_val + CERTIFY_SLACK]
 
+    if not evaluated:
+        raise PreconditionError(
+            f"no lattice candidate: B = {B} at resolution {resolution} leaves "
+            f"no positive last increment after {n - 1} positive ones")
     best_val *= sign
     best = GridFunction(p.ts, best_y) if best_y is not None else None
     return OracleReport(

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from tsvar import cli, errors
 from tsvar.cli import main
 
 WORKED_PROBLEM = {
@@ -17,6 +18,16 @@ WORKED_PROBLEM = {
         "phi": {"family": "affine", "slope": 2, "intercept": 1},
     },
 }
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(text):
+    """Parse CLI stdout, failing on NaN and Infinity, which json.dumps
+    writes by default but no strict JSON reader accepts."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def write_json(path, payload):
@@ -36,12 +47,12 @@ class TestSolve:
         f = write_json(tmp_path / "p.json", WORKED_PROBLEM)
         code, out, err = run_cli(["solve", f, "-o", str(tmp_path / "out")], capsys)
         assert code == 0
-        line = json.loads(out)
+        line = strict_json(out)
         assert line["C"] == pytest.approx(10.0)
         assert line["optimal_value"] == pytest.approx(50 * math.log(10))
         assert line["extremum"] == "min"
 
-        summary = json.loads((tmp_path / "out" / "solution.json").read_text())
+        summary = strict_json((tmp_path / "out" / "solution.json").read_text())
         assert summary["schema_version"] == "1"
         assert summary["trajectory_file"] == "trajectory.csv"
 
@@ -129,6 +140,14 @@ class TestSolve:
         (("problem", "phi", "slope"), "false"),
         (("problem", "kind"), "7"),
         (("check", "f"), '["1", 2]'),
+        # counts, exponents and seeds must be JSON integers, never truncated
+        (("timescale", "n"), "2.5"),
+        (("timescale", "n"), "5.0"),
+        (("timescale", "m"), "3.5"),
+        (("timescale", "nodes"), "9.0"),
+        (("timescale", "quad_nodes"), "9.5"),
+        (("oracle", "samples"), "2.5"),
+        (("oracle", "seed"), "1.9"),
     ])
     def test_non_number_exit_2(self, tmp_path, capsys, path, token):
         # only schema_version, kind, family and mode hold strings; every
@@ -139,6 +158,10 @@ class TestSolve:
                        "timescale": {"kind": "custom", "atoms": [0, 1, 2]},
                        "check": {"kind": "log", "f": [1, 4]}}
             argv = ["check", str(f)]
+        elif path[0] == "oracle":
+            payload = dict(WORKED_PROBLEM,
+                           oracle={"mode": "random", "samples": 5, "seed": 0})
+            argv = ["verify", str(f)]
         else:
             payload = json.loads(json.dumps(WORKED_PROBLEM))
             argv = ["solve", str(f), "-o", str(tmp_path / "out")]
@@ -179,7 +202,7 @@ class TestCheck:
         f = write_json(tmp_path / "c.json", payload)
         code, out, _ = run_cli(["check", f], capsys)
         assert code == 0
-        rep = json.loads(out)
+        rep = strict_json(out)
         assert rep["gap"] == pytest.approx(3 / 16)
         assert rep["holds"] is True
 
@@ -192,7 +215,7 @@ class TestCheck:
         f = write_json(tmp_path / "c.json", payload)
         code, out, _ = run_cli(["check", f], capsys)
         assert code == 0
-        rep = json.loads(out)
+        rep = strict_json(out)
         assert rep["direction"] == "concave_le"
         assert rep["holds"] is True
 
@@ -214,7 +237,7 @@ class TestVerify:
         f = write_json(tmp_path / "p.json", payload)
         code, out, _ = run_cli(["verify", f], capsys)
         assert code == 0
-        rep = json.loads(out)
+        rep = strict_json(out)
         assert rep["candidates_evaluated"] == 10626
         assert rep["verdict"] == "certified"
         assert rep["optima_count"] == 1
@@ -225,12 +248,12 @@ class TestVerify:
         f = write_json(tmp_path / "p.json", payload)
         code, out, _ = run_cli(["verify", f], capsys)
         assert code == 0
-        assert json.loads(out)["verdict"] == "certified"
+        assert strict_json(out)["verdict"] == "certified"
 
     def test_wsc(self, tmp_path, capsys):
         code, out, _ = run_cli(["verify", "--wsc"], capsys)
         assert code == 0
-        rep = json.loads(out)
+        rep = strict_json(out)
         assert rep["contradiction"] is True
         assert rep["I_tilde"] == pytest.approx(2 * math.log(2) - 1, abs=1e-8)
 
@@ -241,7 +264,7 @@ class TestVerify:
             ["verify", f, "--candidate", str(tmp_path / "out" / "trajectory.csv")],
             capsys)
         assert code == 0
-        rep = json.loads(out)
+        rep = strict_json(out)
         assert abs(rep["difference"]) <= 1e-8
 
     def test_perturbation_certified(self, tmp_path, capsys):
@@ -250,7 +273,7 @@ class TestVerify:
         f = write_json(tmp_path / "p.json", payload)
         code, out, _ = run_cli(["verify", f], capsys)
         assert code == 0
-        assert json.loads(out)["verdict"] == "certified"
+        assert strict_json(out)["verdict"] == "certified"
 
     def test_corrupt_refuted_exit_5(self, tmp_path, capsys):
         payload = json.loads(json.dumps(WORKED_PROBLEM))
@@ -258,13 +281,52 @@ class TestVerify:
         f = write_json(tmp_path / "p.json", payload)
         code, out, err = run_cli(["verify", f, "--corrupt", "2:1"], capsys)
         assert code == 5
-        assert json.loads(out)["verdict"] == "refuted"
+        assert strict_json(out)["verdict"] == "refuted"
         assert "refuted" in err
+
+    def test_empty_lattice_exit_3(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(WORKED_PROBLEM))
+        payload["problem"] = {"kind": "exp_derivative", "B": 2,
+                              "phi": {"family": "constant", "value": 1}}
+        payload["oracle"] = {"mode": "exhaustive", "resolution": 1}
+        f = write_json(tmp_path / "p.json", payload)
+        code, out, err = run_cli(["verify", f], capsys)
+        assert code == 3
+        assert out == "" and err.startswith("error[precondition]")
+
+    @pytest.mark.parametrize("corrupt", ["abc", "1:x", "99:0.1", "1:2:3"])
+    def test_bad_corrupt_exit_2(self, tmp_path, capsys, corrupt):
+        payload = json.loads(json.dumps(WORKED_PROBLEM))
+        payload["oracle"] = {"mode": "perturbation", "eps": 0.5}
+        f = write_json(tmp_path / "p.json", payload)
+        code, out, err = run_cli(["verify", f, "--corrupt", corrupt], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error[parse]")
+        assert repr(corrupt) in err
 
     def test_missing_oracle_exit_2(self, tmp_path, capsys):
         f = write_json(tmp_path / "p.json", WORKED_PROBLEM)
         code, _, _ = run_cli(["verify", f], capsys)
         assert code == 2
+
+
+#: every library error other than the two with their own handler
+_OTHER_ERRORS = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, errors.TsvarError)
+                 and c not in (errors.SchemaError, errors.DegenerateProblemError)]
+
+
+@pytest.mark.parametrize("error", _OTHER_ERRORS, ids=lambda c: c.__name__)
+def test_other_library_errors_exit_3(tmp_path, capsys, monkeypatch, error):
+    def fail(problem):
+        raise error("raised inside the solver")
+
+    monkeypatch.setattr(cli.solvers, "solve", fail)
+    f = write_json(tmp_path / "p.json", WORKED_PROBLEM)
+    code, out, err = run_cli(["solve", f, "-o", str(tmp_path / "out")], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error[precondition]: raised inside the solver\n"
 
 
 class TestEntryPoint:
@@ -276,7 +338,7 @@ class TestEntryPoint:
              "-o", str(tmp_path / "out")],
             capture_output=True, text=True)
         assert res.returncode == 0
-        assert json.loads(res.stdout)["C"] == pytest.approx(10.0)
+        assert strict_json(res.stdout)["C"] == pytest.approx(10.0)
 
     def test_quad_nodes_env_var(self, tmp_path):
         payload = {
@@ -295,5 +357,5 @@ class TestEntryPoint:
         assert res.returncode == 0
         rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         assert len(rows) == 1 + 33
-        assert json.loads(res.stdout)["optimal_value"] == pytest.approx(
+        assert strict_json(res.stdout)["optimal_value"] == pytest.approx(
             1.0, abs=1e-8)

@@ -13,6 +13,7 @@ from tsvar import (
     Exp,
     FeasibilityError,
     GridFunction,
+    Polynomial,
     PreconditionError,
     Solution,
     VariationalProblem,
@@ -66,15 +67,14 @@ class TestPowerWeighted:
         assert np.allclose(sol.trajectory.values, 2.0 * ts.points)
 
     def test_inverse_fidelity(self):
-        p = VariationalProblem("power_weighted", real_interval(0, 1, 65),
-                               math.log(2), Exp(), alpha=2.0)
+        ts = real_interval(0, 1, 65)
+        p = VariationalProblem("power_weighted", ts, math.log(2), Exp(),
+                               alpha=2.0)
         sol = solve_power_weighted(p)
         G = weight_antiderivative(p.phi)
-        for y in sol.trajectory.values:
-            u_back = float(G(y))
-            # G(G^{-1}(u)) = u for every trajectory target u
-            t = u_back  # C = 1 here, so target u = t - a
-            assert abs(u_back - t) <= 1e-10
+        # y = G^{-1}(C (t - a)), so G(y(t)) = C (t - a) at every point
+        residual = G(sol.trajectory.values) - sol.C * (ts.points - ts.a)
+        assert np.max(np.abs(residual)) <= 1e-12
 
     def test_degenerate_alphas(self):
         ts = uniform(0, 2, 2)
@@ -278,3 +278,37 @@ class TestInvertIncreasing:
         # out of reach; a bracket a float or two wide is the answer
         x = invert_increasing(math.exp, 1e13, 0.0, gprime=math.exp)
         assert x == pytest.approx(13.0 * math.log(10.0), rel=1e-15)
+
+    @pytest.mark.parametrize("g,gprime", [
+        (np.exp, np.exp),
+        (np.exp, None),                      # bisection only
+        (weight_antiderivative(Affine(3.0, 0.25)), Affine(3.0, 0.25)),
+        (Polynomial([0.0, 1.0, 0.3, 0.2, 0.1]), Polynomial([1.0, 0.6, 0.6, 0.4])),
+    ])
+    def test_array_matches_scalar_bit_for_bit(self, g, gprime):
+        # mixed magnitudes: a target just above g(0), targets whose doubling
+        # bracket needs one to nine doublings, and 1e13, where floats are
+        # too far apart for |g(x) - target| <= tol
+        g0 = float(g(0.0))
+        targets = g0 + np.array([1e-9, 0.5, 2.0, 7.0, 1e3, 1e13, 3.0, 0.25])
+        xs = invert_increasing(g, targets, 0.0, gprime=gprime)
+        one_by_one = [invert_increasing(g, t, 0.0, gprime=gprime)
+                      for t in targets]
+        assert all(type(x) is float for x in one_by_one)
+        assert xs.shape == targets.shape
+        assert xs.tobytes() == np.array(one_by_one).tobytes()
+
+    def test_array_with_given_bracket(self):
+        targets = np.array([[1.5, 3.0], [100.0, 1.0]])
+        xs = invert_increasing(np.exp, targets, 0.0, 5.0, gprime=np.exp)
+        one_by_one = [invert_increasing(np.exp, t, 0.0, 5.0, gprime=np.exp)
+                      for t in targets.ravel()]
+        assert xs.tobytes() == np.array(one_by_one).tobytes()
+
+    def test_array_unconverged_names_first_element(self):
+        # the bracket midpoint is the exact root of the first target only
+        targets = np.linspace(1.0, 1.9, 1000)
+        with pytest.raises(DomainError, match=r"element 1\b") as exc:
+            invert_increasing(lambda x: 1.0 * np.asarray(x), targets, 0.0, 2.0,
+                              max_iter=1)
+        assert len(str(exc.value)) < 200

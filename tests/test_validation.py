@@ -113,6 +113,15 @@ class TestExhaustive:
         assert rep.optima_count == 7
         assert np.diff(rep.best_candidate.values).tolist() == [3] * 6 + [4]
 
+    @pytest.mark.parametrize("ts,B", [
+        (uniform(0, 5, 5), 2.0),       # 2 units cannot fill 4 positive steps
+        (uniform(0, 1, 1), -1.0),      # the one step has a negative tail
+    ])
+    def test_empty_lattice_rejected(self, ts, B):
+        p = VariationalProblem("exp_derivative", ts, B, Constant(1.0))
+        with pytest.raises(PreconditionError, match="no lattice candidate"):
+            exhaustive_verify(p, resolution=1.0)
+
     def test_atom_cap(self):
         p = VariationalProblem("exp_derivative", uniform(0, 8, 8), 9.0,
                                Constant(1.0))
