@@ -187,23 +187,49 @@ _STRING_KEYS = {"schema_version", "kind", "family", "mode"}
 #: there, never a float such as 2.5 or 2.0, which would be truncated
 _INT_KEYS = {"n", "m", "nodes", "quad_nodes", "samples", "seed"}
 
+#: the keys whose values are objects, walked key by key; "file" is the root
+_OBJECT_KEYS = {"file", "timescale", "problem", "phi", "oracle", "check", "F",
+                "psi", "transform"}
+
+#: the keys whose values are flat arrays of numbers; "intervals" holds
+#: [lo, hi] pairs of numbers, and every other key one number
+_ARRAY_KEYS = {"atoms", "f", "h", "coefficients"}
+
 
 def _check_leaves(value, key):
-    if isinstance(value, dict):
+    if key in _OBJECT_KEYS:
+        if not isinstance(value, dict):
+            raise SchemaError(f"{key!r} must be an object, got {value!r}")
         for k, v in value.items():
             _check_leaves(v, k)
-    elif isinstance(value, list):
-        for v in value:
-            _check_leaves(v, key)
     elif key in _STRING_KEYS:
         if not isinstance(value, str):
             raise SchemaError(f"{key!r} must be a string, got {value!r}")
+    elif key == "intervals":
+        if not isinstance(value, list) or not all(
+                isinstance(pair, list) and len(pair) == 2 for pair in value):
+            raise SchemaError(f"'intervals' must be an array of [lo, hi] "
+                              f"pairs, got {value!r}")
+        for i, pair in enumerate(value):
+            for j, v in enumerate(pair):
+                _check_number(v, key, (i, j))
+    elif key in _ARRAY_KEYS:
+        if not isinstance(value, list):
+            raise SchemaError(f"{key!r} must be an array of numbers, "
+                              f"got {value!r}")
+        for i, v in enumerate(value):
+            _check_number(v, key, (i,))
     else:
-        types, what = (((int,), "an integer") if key in _INT_KEYS
-                       else ((int, float), "a finite number"))
-        # false for NaN, for infinities and for ints beyond the float range
-        if type(value) not in types or not abs(value) <= sys.float_info.max:
-            raise SchemaError(f"{key!r} must be {what}, got {value!r}")
+        _check_number(value, key)
+
+
+def _check_number(value, key, index=()):
+    types, what = (((int,), "an integer") if key in _INT_KEYS
+                   else ((int, float), "a finite number"))
+    # false for NaN, for infinities and for ints beyond the float range
+    if type(value) not in types or not abs(value) <= sys.float_info.max:
+        name = key + "".join(f"[{i}]" for i in index)
+        raise SchemaError(f"{name!r} must be {what}, got {value!r}")
 
 
 def _load_json(path):

@@ -288,7 +288,8 @@ def classify_convexity(F, lo, hi, samples=CONVEXITY_SAMPLES):
     else:
         xs = np.linspace(lo, hi, samples)
     F.check_domain(xs)
-    d2 = np.asarray(F.deriv2(xs), dtype=float)
+    with np.errstate(all="ignore"):    # an overflow is rejected just below
+        d2 = np.asarray(F.deriv2(xs), dtype=float)
     if not np.all(np.isfinite(d2)):
         raise ClassificationError("second derivative not finite on range")
     pos = d2 > _AFFINE_TOL

@@ -9,7 +9,7 @@ exactly when the integrand is constant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,33 +54,11 @@ class InequalityReport:
         )
 
     def to_dict(self):
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "direction": self.direction,
-            "holds": self.holds,
-            "equality": self.equality,
-            "f_is_constant": self.f_is_constant,
-        }
+        return asdict(self)
 
 
 def _as_grid(ts, f):
     return f if isinstance(f, GridFunction) else GridFunction(ts, f)
-
-
-def _kappa_values(ts, g):
-    """Values on [a, b]^kappa: the ones that actually enter the integrals."""
-    return g.values[ts.kappa_indices()]
-
-
-def _full(ts, kvals):
-    """Scatter kappa-values back to a full grid array (excluded max padded)."""
-    out = np.empty(len(ts.points))
-    out[ts.kappa_indices()] = kvals
-    if ts.b_left_scattered:
-        out[-1] = kvals[-1]
-    return out
 
 
 def _direction(kind):
@@ -100,13 +78,12 @@ def weighted_jensen_gap(ts: TimeScale, f, h, F) -> InequalityReport:
     w = ts.delta_integral(habs)
     if w <= 0.0:
         raise PreconditionError("total weight integral of |h| must be positive")
-    fk = _kappa_values(ts, f)
+    fk = f.values[ts.kappa_indices()]
     fmin, fmax = float(np.min(fk)), float(np.max(fk))
     F.check_domain(np.array([fmin, fmax]))
     kind, _ = classify_convexity(F, fmin, fmax)
-    Ffk = np.asarray(F(fk), dtype=float)
     hf = GridFunction(ts, habs.values * f.values)
-    hFf = GridFunction(ts, habs.values * _full(ts, Ffk))
+    hFf = GridFunction(ts, habs.values * GridFunction(ts, F(fk)).values)
     mean_f = ts.delta_integral(hf) / w
     lhs = ts.delta_integral(hFf) / w
     rhs = float(F(mean_f))
@@ -115,7 +92,6 @@ def weighted_jensen_gap(ts: TimeScale, f, h, F) -> InequalityReport:
 
 def jensen_gap(ts: TimeScale, f, F) -> InequalityReport:
     """Unweighted Jensen gap: mean of F(f) versus F of the mean of f."""
-    f = _as_grid(ts, f)
     ones = GridFunction(ts, np.ones(len(ts.points)))
     return weighted_jensen_gap(ts, f, ones, F)
 
@@ -129,7 +105,7 @@ def special_case_gap(kind: str, ts: TimeScale, f, alpha=None) -> InequalityRepor
     """
     f = _as_grid(ts, f)
     span = ts.b - ts.a
-    vals = _kappa_values(ts, f)
+    vals = f.values[ts.kappa_indices()]
     if kind != "exp" and np.any(vals <= 0.0):
         raise DomainError(f"{kind} inequality requires positive f")
 
@@ -137,7 +113,7 @@ def special_case_gap(kind: str, ts: TimeScale, f, alpha=None) -> InequalityRepor
         if alpha is None or alpha in (0.0, 1.0):
             raise ParameterError("power inequality needs alpha outside {0, 1}")
         direction = "convex_ge" if (alpha < 0.0 or alpha > 1.0) else "concave_le"
-        lhs = ts.delta_integral(GridFunction(ts, _full(ts, vals ** alpha)))
+        lhs = ts.delta_integral(GridFunction(ts, vals ** alpha))
         rhs = span ** (1.0 - alpha) * ts.delta_integral(f) ** alpha
     elif kind == "reciprocal_power":
         if alpha is None or alpha in (-1.0, 0.0):
@@ -145,21 +121,21 @@ def special_case_gap(kind: str, ts: TimeScale, f, alpha=None) -> InequalityRepor
                 "reciprocal power inequality needs alpha outside {-1, 0}"
             )
         direction = "convex_ge" if (alpha < -1.0 or alpha > 0.0) else "concave_le"
-        recip = ts.delta_integral(GridFunction(ts, _full(ts, 1.0 / vals)))
-        lhs = recip ** alpha * ts.delta_integral(GridFunction(ts, _full(ts, vals ** alpha)))
+        recip = ts.delta_integral(GridFunction(ts, 1.0 / vals))
+        lhs = recip ** alpha * ts.delta_integral(GridFunction(ts, vals ** alpha))
         rhs = span ** (1.0 + alpha)
     elif kind == "exp":
         direction = "convex_ge"
-        lhs = ts.delta_integral(GridFunction(ts, _full(ts, np.exp(vals))))
+        lhs = ts.delta_integral(GridFunction(ts, np.exp(vals)))
         rhs = span * math.exp(ts.delta_integral(f) / span)
     elif kind == "log":
         direction = "concave_le"
-        lhs = ts.delta_integral(GridFunction(ts, _full(ts, np.log(vals))))
+        lhs = ts.delta_integral(GridFunction(ts, np.log(vals)))
         rhs = span * math.log(ts.delta_integral(f) / span)
     elif kind == "xlogx":
         direction = "convex_ge"
         mean = ts.delta_integral(f)
-        lhs = ts.delta_integral(GridFunction(ts, _full(ts, vals * np.log(vals))))
+        lhs = ts.delta_integral(GridFunction(ts, vals * np.log(vals)))
         rhs = mean * math.log(mean / span)
     else:
         raise ParameterError(f"unknown special inequality kind {kind!r}")
@@ -174,7 +150,7 @@ def quasi_arithmetic_gap(ts: TimeScale, f, phi, psi) -> InequalityReport:
     The convex orientation gives psi-mean >= phi-mean.
     """
     f = _as_grid(ts, f)
-    fk = _kappa_values(ts, f)
+    fk = f.values[ts.kappa_indices()]
     fmin, fmax = float(np.min(fk)), float(np.max(fk))
     xs = np.linspace(fmin, fmax, 257) if fmax > fmin else np.array([fmin])
     phi.check_domain(xs)
@@ -197,10 +173,8 @@ def quasi_arithmetic_gap(ts: TimeScale, f, phi, psi) -> InequalityReport:
     direction = "convex_ge" if not neg else "concave_le"
 
     span = ts.b - ts.a
-    mean_psi = ts.delta_integral(
-        GridFunction(ts, _full(ts, np.asarray(psi(fk), dtype=float)))) / span
-    mean_phi = ts.delta_integral(
-        GridFunction(ts, _full(ts, np.asarray(phi(fk), dtype=float)))) / span
+    mean_psi = ts.delta_integral(GridFunction(ts, psi(fk))) / span
+    mean_phi = ts.delta_integral(GridFunction(ts, phi(fk))) / span
     lhs = _apply_inverse(psi, mean_psi, fmin, fmax)
     rhs = _apply_inverse(phi, mean_phi, fmin, fmax)
     return InequalityReport.build(lhs, rhs, direction, fk)

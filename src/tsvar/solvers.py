@@ -50,6 +50,8 @@ class VariationalProblem:
             raise ParameterError(f"unknown problem kind {self.kind!r}")
         if self.kind == "power_weighted" and self.alpha is None:
             raise ParameterError("power_weighted problem needs an exponent")
+        if len(self.ts) < 2:
+            raise PreconditionError("the time scale has one point, so a = b")
 
 
 @dataclass(frozen=True)
@@ -72,24 +74,21 @@ def weight_antiderivative(phi):
     return G
 
 
-def _check_phi_positive_on_scale(p):
-    pts = p.ts.kappa_points()
-    vals = np.asarray(p.phi(pts), dtype=float)
-    if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
-        t_bad = float(pts[int(np.argmin(vals))])
-        raise DomainError(f"phi must be positive on the scale; phi({t_bad}) <= 0")
-    return vals
-
-
-def _phi_on_points(p):
-    """phi at every evaluation point; a value at an excluded max point is
-    patched to 1 since it never enters a delta integral."""
-    ts = p.ts
+def _phi_on_kappa(p):
+    """phi on [a, b]^kappa, the only points where it enters the functional."""
     with np.errstate(all="ignore"):
-        vals = np.asarray(p.phi(ts.points), dtype=float).copy()
-    if ts.b_left_scattered and not np.isfinite(vals[-1]):
-        vals[-1] = 1.0
-    return vals
+        return np.asarray(p.phi(p.ts.kappa_points()), dtype=float)
+
+
+def _solution(traj, extremum, span, C, value):
+    """The Solution with optimal value value(span, C), which must be finite."""
+    try:
+        v = value(span, C)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise DomainError(f"the optimal value at C = {C} is not finite")
+    return Solution(traj, v, extremum, C)
 
 
 def solve(p: VariationalProblem) -> Solution:
@@ -130,70 +129,76 @@ def solve_power_weighted(p: VariationalProblem) -> Solution:
     yvals = np.zeros(len(ts.points))
     yvals[pos] = invert_increasing(G, target[pos], 0.0, gprime=phi)
     traj = GridFunction(ts, yvals)
-    _require_increasing(ts, traj)
+    _require_increasing(ts, ts.delta_derivative_grid(traj))
     extremum = "min" if (alpha < 0.0 or alpha > 1.0) else "max"
-    return Solution(traj, span * C ** alpha, extremum, C)
+    return _solution(traj, extremum, span, C, lambda span, C: span * C ** alpha)
+
+
+def _jensen_equality(p, g, value, increasing=False):
+    """Minimizer on which y^Delta + g(phi) is one constant C on [a, b]^kappa.
+
+    That is the equality case of Jensen's inequality, so C = (B + integral
+    of g(phi)) / (b - a), y(t) = C (t - a) - integral_a^t g(phi), and the
+    minimum is value(b - a, C).  With ``increasing`` the trajectory must be
+    strictly increasing, which for g = id demands C > phi on [a, b]^kappa.
+    """
+    ts = p.ts
+    span = ts.b - ts.a
+    phi = _phi_on_kappa(p)
+    bad = np.flatnonzero(~(np.isfinite(phi) & (phi > 0.0)))
+    if len(bad):
+        t_bad = float(ts.points[bad[0]])
+        raise DomainError(f"phi must be finite and positive on the scale; "
+                          f"phi({t_bad}) = {float(phi[bad[0]])}")
+    # an overflow here shows as a non-finite C or trajectory, rejected below
+    with np.errstate(all="ignore"):
+        P = ts.cumulative_delta_integral(GridFunction(ts, g(phi)))
+        C = (float(p.B) + float(P[-1])) / span
+        yvals = C * (ts.points - ts.a) - P
+    if not math.isfinite(C):
+        raise DomainError(f"C = {C} is not finite")
+    if increasing:
+        bad = np.flatnonzero(C - phi <= 0.0)
+        if len(bad):
+            t_bad = float(ts.points[bad[0]])
+            raise FeasibilityError(
+                f"infeasible: C = {C} is not greater than phi({t_bad}) = "
+                f"{float(phi[bad[0]])}",
+                point=t_bad,
+            )
+    yvals[0] = 0.0
+    traj = GridFunction(ts, yvals)
+    if increasing:
+        _require_increasing(ts, ts.delta_derivative_grid(traj))
+    return _solution(traj, "min", span, C, value)
 
 
 def solve_exp_derivative(p: VariationalProblem) -> Solution:
-    """Optimal trajectory of the exponential-of-derivative problem.
-
-    C = (integral of ln(phi) + B) / (b - a); the trajectory is
-    y(t) = -integral_a^t ln(phi) + C (t - a) and the minimum is (b - a) e^C.
-    """
-    ts, B = p.ts, float(p.B)
-    span = ts.b - ts.a
-    _check_phi_positive_on_scale(p)
-    phi_vals = _phi_on_points(p)
-    logphi = GridFunction(ts, np.log(np.maximum(phi_vals, 1e-300)))
-    L = ts.cumulative_delta_integral(logphi)
-    C = (L[-1] + B) / span
-    yvals = -L + C * (ts.points - ts.a)
-    yvals[0] = 0.0
-    traj = GridFunction(ts, yvals)
-    return Solution(traj, span * math.exp(C), "min", float(C))
+    """Optimal trajectory of the exponential-of-derivative problem: the
+    Jensen equality case with g = ln; the minimum is (b - a) e^C."""
+    return _jensen_equality(p, np.log, lambda span, C: span * math.exp(C))
 
 
 def solve_xlogx_shifted(p: VariationalProblem) -> Solution:
-    """Optimal trajectory of the shifted x*ln(x) problem.
-
-    C = (B + integral of phi) / (b - a); feasibility demands C > phi(t)
-    everywhere on the kappa-grid, which makes y(t) = C (t - a) - integral
-    of phi strictly increasing.  The minimum is (b - a) C ln(C).
-    """
-    ts, B = p.ts, float(p.B)
-    span = ts.b - ts.a
-    _check_phi_positive_on_scale(p)
-    phi_vals = _phi_on_points(p)
-    P = ts.cumulative_delta_integral(GridFunction(ts, phi_vals))
-    C = (B + P[-1]) / span
-    kidx = ts.kappa_indices()
-    bad = np.nonzero(C - phi_vals[kidx] <= 0.0)[0]
-    if len(bad):
-        t_bad = float(ts.points[kidx[bad[0]]])
-        raise FeasibilityError(
-            f"infeasible: C = {C} is not greater than phi({t_bad}) = "
-            f"{float(phi_vals[kidx[bad[0]]])}",
-            point=t_bad,
-        )
-    yvals = C * (ts.points - ts.a) - P
-    yvals[0] = 0.0
-    traj = GridFunction(ts, yvals)
-    _require_increasing(ts, traj)
-    return Solution(traj, span * C * math.log(C), "min", float(C))
+    """Optimal trajectory of the shifted x*ln(x) problem: the Jensen equality
+    case with g = id, feasible when C > phi(t) everywhere on the kappa-grid,
+    which makes y strictly increasing.  The minimum is (b - a) C ln(C)."""
+    return _jensen_equality(p, lambda phi: phi,
+                            lambda span, C: span * C * math.log(C),
+                            increasing=True)
 
 
-def _require_increasing(ts, traj):
-    d = ts.delta_derivative_grid(traj)
-    kidx = ts.kappa_indices()
-    if np.any(d[kidx] <= POSITIVITY_TOL):
-        i = kidx[int(np.argmin(d[kidx]))]
+def _require_increasing(ts, d):
+    """AdmissibilityError at the first kappa-point where a row of the delta
+    derivatives d, of shape (..., n), is not strictly positive."""
+    dk = d[..., :len(ts.kappa_indices())]
+    viol = np.flatnonzero(
+        np.any(dk.reshape(-1, dk.shape[-1]) <= POSITIVITY_TOL, axis=0))
+    if len(viol):
+        t_bad = float(ts.points[viol[0]])
         raise AdmissibilityError(
-            f"trajectory delta derivative is not strictly positive at "
-            f"t = {float(ts.points[i])}",
-            point=float(ts.points[i]),
-            condition="y_delta > 0",
-        )
+            f"delta derivative not strictly positive at t = {t_bad}",
+            point=t_bad, condition="y_delta > 0")
 
 
 def evaluate_functional(p: VariationalProblem, y, check_admissible: bool = True):
@@ -223,22 +228,16 @@ def evaluate_functional(p: VariationalProblem, y, check_admissible: bool = True)
                 f"differs from B = {p.B}",
                 point=ts.b, condition="y(b) = B")
         if p.kind in ("power_weighted", "xlogx_shifted"):
-            viol = np.flatnonzero(
-                np.any(dk.reshape(-1, dk.shape[-1]) <= POSITIVITY_TOL, axis=0))
-            if len(viol):
-                t_bad = float(ts.points[viol[0]])
-                raise AdmissibilityError(
-                    f"delta derivative not strictly positive at t = {t_bad}",
-                    point=t_bad, condition="y_delta > 0")
+            _require_increasing(ts, d)
 
     integrand = np.zeros_like(yvals)
     if p.kind == "power_weighted":
         factor = averaged_chain_factor(p.phi, yvals[..., kap], ts._mu[kap], dk)
         integrand[..., kap] = (factor * dk) ** p.alpha
     elif p.kind == "exp_derivative":
-        integrand[..., kap] = _phi_on_points(p)[kap] * np.exp(dk)
+        integrand[..., kap] = _phi_on_kappa(p) * np.exp(dk)
     else:
-        s = _phi_on_points(p)[kap] + dk
+        s = _phi_on_kappa(p) + dk
         if check_admissible and np.any(s <= 0.0):
             worst = np.argmin(s.reshape(-1, s.shape[-1]).min(axis=0))
             t_bad = float(ts.points[worst])

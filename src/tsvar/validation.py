@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -173,6 +173,8 @@ def random_verify(p: VariationalProblem, samples: int, seed: int) -> OracleRepor
     _require_discrete(p)
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
+    if seed < 0:
+        raise PreconditionError("seed must be >= 0")
     sol, closed, extremum = _closed_form(p)
     n = len(p.ts.points) - 1
     rng = np.random.default_rng(seed)
@@ -285,13 +287,7 @@ class WscReport:
         return self.I_tilde - self.I_max_claimed
 
     def to_dict(self):
-        return {
-            "I_tilde": self.I_tilde,
-            "C": self.C,
-            "I_max_claimed": self.I_max_claimed,
-            "contradiction": self.contradiction,
-            "margin": self.margin,
-        }
+        return {**asdict(self), "margin": self.margin}
 
 
 def wsc_counterexample(nodes: int = 129) -> WscReport:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tsvar import cli, errors
 from tsvar.cli import main
@@ -17,6 +18,31 @@ WORKED_PROBLEM = {
         "B": 25,
         "phi": {"family": "affine", "slope": 2, "intercept": 1},
     },
+}
+
+
+WEIGHTED_CHECK = {
+    "schema_version": "1",
+    "timescale": {"kind": "custom", "atoms": [0, 1, 2]},
+    "check": {"kind": "weighted_jensen", "f": [1, 2], "h": [1, 3],
+              "F": {"family": "power", "alpha": 2}},
+}
+
+#: top-level blocks under which a file reads a key the base files lack
+_READS = {
+    "q": {"timescale": {"kind": "q_scale", "q": 2, "n": 0, "m": 5}},
+    "nodes": {"timescale": {"kind": "real_interval", "a": 0, "b": 5,
+                            "nodes": 9}},
+    "atoms": {"timescale": {"kind": "custom", "atoms": [0, 1, 2, 3, 4, 5]}},
+    "intervals": {"timescale": {"kind": "custom", "intervals": [[0, 5]]}},
+    "resolution": {"oracle": {"mode": "exhaustive", "resolution": 1}},
+    "eps": {"oracle": {"mode": "perturbation", "eps": 0.1}},
+    "coefficients": {"problem": {"kind": "xlogx_shifted", "B": 25, "phi": {
+        "family": "polynomial", "coefficients": [1, 2]}}},
+    "in_scale": {"problem": {"kind": "xlogx_shifted", "B": 25, "phi": {
+        "family": "affine", "slope": 2, "intercept": 1,
+        "transform": {"in_scale": 1}}}},
+    "h": {"check": WEIGHTED_CHECK["check"]},
 }
 
 
@@ -148,6 +174,24 @@ class TestSolve:
         (("timescale", "quad_nodes"), "9.5"),
         (("oracle", "samples"), "2.5"),
         (("oracle", "seed"), "1.9"),
+        # atoms, f, h and coefficients hold flat arrays of numbers, and
+        # every other numeric key one number
+        (("problem", "B"), "[25]"),
+        (("problem", "alpha"), "[2]"),
+        (("problem", "phi", "slope"), "[2]"),
+        (("timescale", "a"), "[0]"),
+        (("timescale", "q"), "[2]"),
+        (("timescale", "nodes"), "[1]"),
+        (("oracle", "resolution"), "[1]"),
+        (("oracle", "eps"), "[0.1]"),
+        (("oracle", "samples"), "[3]"),
+        (("problem", "phi", "transform", "in_scale"), "[1]"),
+        (("check", "f"), "5"),
+        (("check", "h"), "3"),
+        (("problem", "phi", "coefficients"), "5"),
+        (("problem", "phi", "coefficients"), "[[1], [2]]"),
+        (("timescale", "atoms"), "[[0, 1], [2, 3]]"),
+        (("timescale", "intervals"), "[[0, 1, 2]]"),
     ])
     def test_non_number_exit_2(self, tmp_path, capsys, path, token):
         # only schema_version, kind, family and mode hold strings; every
@@ -165,6 +209,7 @@ class TestSolve:
         else:
             payload = json.loads(json.dumps(WORKED_PROBLEM))
             argv = ["solve", str(f), "-o", str(tmp_path / "out")]
+        payload.update(json.loads(json.dumps(_READS.get(path[-1], {}))))
         block = payload
         for key in path[:-1]:
             block = block[key]
@@ -173,6 +218,7 @@ class TestSolve:
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == "" and err.startswith("error[parse]")
+        assert f"'{path[-1]}" in err
 
     def test_q_scale_overflow_exit_3(self, tmp_path, capsys):
         bad = dict(WORKED_PROBLEM,
@@ -181,6 +227,28 @@ class TestSolve:
         code, out, err = run_cli(["solve", f, "-o", str(tmp_path / "out")], capsys)
         assert code == 3
         assert err.startswith("error[precondition]") and "overflow" in err
+
+    @pytest.mark.parametrize("timescale,problem", [
+        ({"kind": "custom", "atoms": [3]},
+         {"kind": "exp_derivative", "B": 25,
+          "phi": {"family": "constant", "value": 1}}),
+        ({"kind": "uniform", "a": 0, "b": 5, "n": 5},
+         {"kind": "exp_derivative", "B": 5000,
+          "phi": {"family": "constant", "value": 1}}),
+        ({"kind": "uniform", "a": 0, "b": 1, "n": 2},
+         {"kind": "power_weighted", "B": 2, "alpha": 1e308,
+          "phi": {"family": "constant", "value": 1}}),
+        ({"kind": "uniform", "a": 0, "b": 1, "n": 2},
+         {"kind": "xlogx_shifted", "B": 1e308,
+          "phi": {"family": "constant", "value": 1}}),
+    ], ids=["one_point", "exp_overflow", "power_overflow", "xlogx_overflow"])
+    def test_degenerate_or_overflowing_exit_3(self, tmp_path, capsys,
+                                               timescale, problem):
+        bad = dict(WORKED_PROBLEM, timescale=timescale, problem=problem)
+        f = write_json(tmp_path / "p.json", bad)
+        code, out, err = run_cli(["solve", f, "-o", str(tmp_path / "out")], capsys)
+        assert code == 3
+        assert out == "" and err.startswith("error[precondition]")
 
     def test_extra_scale_key_still_accepted(self, tmp_path, capsys):
         ok = dict(WORKED_PROBLEM,
@@ -304,6 +372,14 @@ class TestVerify:
         assert out == "" and err.startswith("error[parse]")
         assert repr(corrupt) in err
 
+    def test_negative_seed_exit_3(self, tmp_path, capsys):
+        payload = dict(WORKED_PROBLEM,
+                       oracle={"mode": "random", "samples": 5, "seed": -1})
+        f = write_json(tmp_path / "p.json", payload)
+        code, out, err = run_cli(["verify", f], capsys)
+        assert code == 3
+        assert out == "" and err.startswith("error[precondition]")
+
     def test_missing_oracle_exit_2(self, tmp_path, capsys):
         f = write_json(tmp_path / "p.json", WORKED_PROBLEM)
         code, _, _ = run_cli(["verify", f], capsys)
@@ -327,6 +403,59 @@ def test_other_library_errors_exit_3(tmp_path, capsys, monkeypatch, error):
     assert code == 3
     assert out == ""
     assert err == "error[precondition]: raised inside the solver\n"
+
+
+#: the subcommand and file each fuzzed input starts from
+_FUZZ_BASES = [
+    ("solve", WORKED_PROBLEM),
+    ("verify", dict(WORKED_PROBLEM,
+                    oracle={"mode": "random", "samples": 5, "seed": 0})),
+    ("check", WEIGHTED_CHECK),
+]
+
+#: strings the parser knows, so a fuzzed file also reaches other branches
+_NAMES = ["1", "uniform", "q_scale", "real_interval", "custom",
+          "power_weighted", "exp_derivative", "xlogx_shifted", "constant",
+          "affine", "identity", "power", "exp", "log", "xlogx", "polynomial",
+          "exhaustive", "random", "perturbation", "weighted_jensen", "jensen",
+          "reciprocal_power", "quasi_arithmetic"]
+
+# small integers, so no input asks for a huge grid
+_SCALARS = (st.integers(-3, 40) | st.floats() | st.booleans() | st.none()
+            | st.text(max_size=3) | st.sampled_from(_NAMES))
+_JSON_VALUES = (_SCALARS | st.lists(_SCALARS, max_size=4)
+                | st.lists(st.lists(_SCALARS, max_size=3), max_size=3))
+
+
+def _paths(node, path=()):
+    """Path of every value below the root of a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_files_exit_inside_contract(tmp_path, capsys, data):
+    # every input ends in a documented exit code, with strict JSON on stdout
+    command, base = data.draw(st.sampled_from(_FUZZ_BASES))
+    doc = json.loads(json.dumps(base))
+    for _ in range(data.draw(st.integers(1, 3))):
+        *head, last = data.draw(st.sampled_from(list(_paths(doc))))
+        block = doc
+        for key in head:
+            block = block[key]
+        block[last] = data.draw(_JSON_VALUES)
+    f = write_json(tmp_path / "fuzz.json", doc)
+    argv = [command, f] + (["-o", str(tmp_path / "out")]
+                           if command == "solve" else [])
+    code, out, _ = run_cli(argv, capsys)
+    assert code in (0, 2, 3, 4, 5)
+    if out:
+        strict_json(out)
 
 
 class TestEntryPoint:

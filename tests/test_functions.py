@@ -118,6 +118,9 @@ class TestClassifyConvexity:
         cubic = Polynomial([0.0, 0.0, 0.0, 1.0])
         with pytest.raises(ClassificationError):
             classify_convexity(cubic, -1.0, 1.0)
+        # F'' overflows: rejected without a numpy warning
+        with pytest.raises(ClassificationError):
+            classify_convexity(Power(4.6e16), 1.0, 2.0)
 
     def test_power_regimes(self):
         assert classify_convexity(Power(-0.5), 0.5, 2.0)[0] == "convex"

@@ -182,6 +182,48 @@ class TestXLogXShifted:
             sol.optimal_value, abs=1e-8)
 
 
+class TestDegenerateAndOverflow:
+    @pytest.mark.parametrize("kind", ["power_weighted", "exp_derivative",
+                                      "xlogx_shifted"])
+    def test_one_point_scale_rejected(self, kind):
+        with pytest.raises(PreconditionError):
+            VariationalProblem(kind, custom(atoms=[3.0]), 1.0, Constant(1.0),
+                               alpha=2.0)
+
+    def test_exp_optimal_value_overflow(self):
+        p = VariationalProblem("exp_derivative", uniform(0, 5, 5), 5000.0,
+                               Constant(1.0))
+        with pytest.raises(DomainError, match="not finite"):
+            solve(p)
+
+    def test_power_optimal_value_overflow(self):
+        p = VariationalProblem("power_weighted", uniform(0, 1, 2), 2.0,
+                               Constant(1.0), alpha=1e308)
+        with pytest.raises(DomainError, match="not finite"):
+            solve(p)
+
+    def test_xlogx_optimal_value_overflow(self):
+        p = VariationalProblem("xlogx_shifted", uniform(0, 1, 2), 1e308,
+                               Constant(1.0))
+        with pytest.raises(DomainError, match="not finite"):
+            solve(p)
+
+    def test_nonfinite_C(self):
+        # B + the integral of phi overflows to inf before the division
+        p = VariationalProblem("xlogx_shifted", uniform(0, 0.5, 2), 1.7e308,
+                               Constant(1.5e308))
+        with pytest.raises(DomainError, match="C = inf"):
+            solve(p)
+
+    @pytest.mark.parametrize("kind", ["exp_derivative", "xlogx_shifted"])
+    def test_overflowing_phi_names_its_point(self, kind):
+        # exp(1000) overflows at t = 1000, the first point where phi is not
+        # a finite positive number; phi(0) = 1 is fine
+        p = VariationalProblem(kind, uniform(0, 2000, 2), 1.0, Exp())
+        with pytest.raises(DomainError, match=r"phi\(1000\.0\) = inf"):
+            solve(p)
+
+
 class TestEvaluateFunctional:
     def test_worked_optimal_trajectory(self):
         p = worked_problem()

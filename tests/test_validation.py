@@ -199,6 +199,8 @@ class TestRandom:
     def test_bad_samples(self):
         with pytest.raises(PreconditionError):
             random_verify(worked_problem(), samples=0, seed=1)
+        with pytest.raises(PreconditionError):
+            random_verify(worked_problem(), samples=5, seed=-1)
 
     def test_many_random_problems_certified(self):
         rng = random.Random(2024)
