@@ -8,6 +8,7 @@ exactly when the integrand is constant).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -39,9 +40,9 @@ class InequalityReport:
 
     @classmethod
     def build(cls, lhs, rhs, direction, f_values, tol=EQUALITY_TOL):
-        lhs = float(lhs)
-        rhs = float(rhs)
-        gap = lhs - rhs if direction == "convex_ge" else rhs - lhs
+        lhs = _finite("lhs", lhs)
+        rhs = _finite("rhs", rhs)
+        gap = _finite("gap", lhs - rhs if direction == "convex_ge" else rhs - lhs)
         spread = float(np.max(f_values) - np.min(f_values))
         return cls(
             lhs=lhs,
@@ -57,6 +58,36 @@ class InequalityReport:
         return asdict(self)
 
 
+def _finite(name, value):
+    """value as a float; DomainError naming it when it is not finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"the inequality's {name} is not finite: {value}")
+    return value
+
+
+def _overflow_checked(checker):
+    """Run a checker with numpy's floating-point warnings off: an overflow
+    shows as a non-finite mean or side, which is raised as a DomainError."""
+    @functools.wraps(checker)
+    def run(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return checker(*args, **kwargs)
+    return run
+
+
+def _padded(ts, v):
+    """Values on [a, b]^kappa padded to the whole grid as GridFunction pads
+    them, but kept when not finite, so an overflow reaches the checks."""
+    v = np.asarray(v, dtype=float)
+    return np.append(v, v[-1:])[:len(ts.points)]
+
+
+def _kappa_integral(ts, v):
+    """Delta integral of values given on [a, b]^kappa."""
+    return ts.delta_integral(_padded(ts, v))
+
+
 def _as_grid(ts, f):
     return f if isinstance(f, GridFunction) else GridFunction(ts, f)
 
@@ -65,6 +96,7 @@ def _direction(kind):
     return "convex_ge" if kind in ("convex", "affine") else "concave_le"
 
 
+@_overflow_checked
 def weighted_jensen_gap(ts: TimeScale, f, h, F) -> InequalityReport:
     """Gap of the weighted Jensen inequality with weight |h|.
 
@@ -82,10 +114,8 @@ def weighted_jensen_gap(ts: TimeScale, f, h, F) -> InequalityReport:
     fmin, fmax = float(np.min(fk)), float(np.max(fk))
     F.check_domain(np.array([fmin, fmax]))
     kind, _ = classify_convexity(F, fmin, fmax)
-    hf = GridFunction(ts, habs.values * f.values)
-    hFf = GridFunction(ts, habs.values * GridFunction(ts, F(fk)).values)
-    mean_f = ts.delta_integral(hf) / w
-    lhs = ts.delta_integral(hFf) / w
+    mean_f = _finite("mean", ts.delta_integral(habs.values * f.values) / w)
+    lhs = ts.delta_integral(habs.values * _padded(ts, F(fk))) / w
     rhs = float(F(mean_f))
     return InequalityReport.build(lhs, rhs, _direction(kind), fk)
 
@@ -96,6 +126,7 @@ def jensen_gap(ts: TimeScale, f, F) -> InequalityReport:
     return weighted_jensen_gap(ts, f, ones, F)
 
 
+@_overflow_checked
 def special_case_gap(kind: str, ts: TimeScale, f, alpha=None) -> InequalityReport:
     """Gap of one of the specialized corollary inequalities.
 
@@ -108,40 +139,47 @@ def special_case_gap(kind: str, ts: TimeScale, f, alpha=None) -> InequalityRepor
     vals = f.values[ts.kappa_indices()]
     if kind != "exp" and np.any(vals <= 0.0):
         raise DomainError(f"{kind} inequality requires positive f")
+    # numpy scalars, so a power that overflows gives inf instead of raising
+    span, total = np.float64(span), np.float64(ts.delta_integral(f))
+    if kind != "reciprocal_power":
+        _finite("mean", total / span)
 
     if kind == "power":
         if alpha is None or alpha in (0.0, 1.0):
             raise ParameterError("power inequality needs alpha outside {0, 1}")
         direction = "convex_ge" if (alpha < 0.0 or alpha > 1.0) else "concave_le"
-        lhs = ts.delta_integral(GridFunction(ts, vals ** alpha))
-        rhs = span ** (1.0 - alpha) * ts.delta_integral(f) ** alpha
+        lhs = _kappa_integral(ts, vals ** alpha)
+        rhs = span ** (1.0 - alpha) * total ** alpha
     elif kind == "reciprocal_power":
         if alpha is None or alpha in (-1.0, 0.0):
             raise ParameterError(
                 "reciprocal power inequality needs alpha outside {-1, 0}"
             )
         direction = "convex_ge" if (alpha < -1.0 or alpha > 0.0) else "concave_le"
-        recip = ts.delta_integral(GridFunction(ts, 1.0 / vals))
-        lhs = recip ** alpha * ts.delta_integral(GridFunction(ts, vals ** alpha))
+        recip = np.float64(_kappa_integral(ts, 1.0 / vals))
+        lhs = recip ** alpha * _kappa_integral(ts, vals ** alpha)
         rhs = span ** (1.0 + alpha)
     elif kind == "exp":
         direction = "convex_ge"
-        lhs = ts.delta_integral(GridFunction(ts, np.exp(vals)))
-        rhs = span * math.exp(ts.delta_integral(f) / span)
+        lhs = _kappa_integral(ts, np.exp(vals))
+        try:
+            rhs = span * math.exp(total / span)
+        except OverflowError:
+            rhs = math.inf
     elif kind == "log":
         direction = "concave_le"
-        lhs = ts.delta_integral(GridFunction(ts, np.log(vals)))
-        rhs = span * math.log(ts.delta_integral(f) / span)
+        lhs = _kappa_integral(ts, np.log(vals))
+        rhs = span * math.log(total / span)
     elif kind == "xlogx":
         direction = "convex_ge"
-        mean = ts.delta_integral(f)
-        lhs = ts.delta_integral(GridFunction(ts, vals * np.log(vals)))
-        rhs = mean * math.log(mean / span)
+        lhs = _kappa_integral(ts, vals * np.log(vals))
+        rhs = total * math.log(total / span)
     else:
         raise ParameterError(f"unknown special inequality kind {kind!r}")
     return InequalityReport.build(lhs, rhs, direction, vals)
 
 
+@_overflow_checked
 def quasi_arithmetic_gap(ts: TimeScale, f, phi, psi) -> InequalityReport:
     """Gap between the psi- and phi-quasi-arithmetic means of f.
 
@@ -173,8 +211,8 @@ def quasi_arithmetic_gap(ts: TimeScale, f, phi, psi) -> InequalityReport:
     direction = "convex_ge" if not neg else "concave_le"
 
     span = ts.b - ts.a
-    mean_psi = ts.delta_integral(GridFunction(ts, psi(fk))) / span
-    mean_phi = ts.delta_integral(GridFunction(ts, phi(fk))) / span
+    mean_psi = _finite("mean", _kappa_integral(ts, psi(fk)) / span)
+    mean_phi = _finite("mean", _kappa_integral(ts, phi(fk)) / span)
     lhs = _apply_inverse(psi, mean_psi, fmin, fmax)
     rhs = _apply_inverse(phi, mean_phi, fmin, fmax)
     return InequalityReport.build(lhs, rhs, direction, fk)

@@ -119,15 +119,21 @@ def solve_power_weighted(p: VariationalProblem) -> Solution:
         )
     if B <= 0.0:
         raise PreconditionError("power_weighted problem requires B > 0")
-    probe = np.linspace(0.0, B, 257)
-    if np.any(np.asarray(phi(probe), dtype=float) <= 0.0):
+    # an overflow here shows as a non-finite C, rejected below
+    with np.errstate(all="ignore"):
+        probe = np.asarray(phi(np.linspace(0.0, B, 257)), dtype=float)
+        C = float(G(B)) / span
+    if np.any(probe <= 0.0):
         raise DomainError("phi must be positive on [0, B]")
-
-    C = float(G(B)) / span
+    if not math.isfinite(C):
+        raise DomainError(f"C = {C} is not finite")
     target = C * (ts.points - ts.a)
     pos = target > 0.0
     yvals = np.zeros(len(ts.points))
-    yvals[pos] = invert_increasing(G, target[pos], 0.0, gprime=phi)
+    # G may overflow to +inf while the root finder brackets the root by
+    # doubling, which still orders correctly against every finite target
+    with np.errstate(over="ignore"):
+        yvals[pos] = invert_increasing(G, target[pos], 0.0, gprime=phi)
     traj = GridFunction(ts, yvals)
     _require_increasing(ts, ts.delta_derivative_grid(traj))
     extremum = "min" if (alpha < 0.0 or alpha > 1.0) else "max"
@@ -201,6 +207,34 @@ def _require_increasing(ts, d):
             point=t_bad, condition="y_delta > 0")
 
 
+def _require_shift_positive(ts, s):
+    """AdmissibilityError at the worst kappa-point when some row of the
+    shifted derivatives s = phi + y^Delta, of shape (..., n), is not
+    positive."""
+    if np.any(s <= 0.0):
+        worst = np.argmin(s.reshape(-1, s.shape[-1]).min(axis=0))
+        t_bad = float(ts.points[worst])
+        raise AdmissibilityError(
+            f"phi + y_delta must be positive; fails at t = {t_bad}",
+            point=t_bad, condition="phi + y_delta > 0")
+
+
+def gap_integrand(p: VariationalProblem, y, d, mu, phi):
+    """The problem's integrand at points where the trajectory has value y,
+    delta derivative d and graininess mu, and the weight has value phi
+    (unused by the power-weighted class, which averages phi over the
+    trajectory's jump instead).  Elementwise on broadcast arrays."""
+    if p.kind == "power_weighted":
+        return (averaged_chain_factor(p.phi, y, mu, d) * d) ** p.alpha
+    if p.kind == "exp_derivative":
+        return phi * np.exp(d)
+    s = phi + d
+    out = np.maximum(s, 1e-300)
+    np.log(out, out=out)
+    out *= s
+    return out
+
+
 def evaluate_functional(p: VariationalProblem, y, check_admissible: bool = True):
     """Value of the problem's functional at candidate trajectories.
 
@@ -230,21 +264,11 @@ def evaluate_functional(p: VariationalProblem, y, check_admissible: bool = True)
         if p.kind in ("power_weighted", "xlogx_shifted"):
             _require_increasing(ts, d)
 
+    phi = None if p.kind == "power_weighted" else _phi_on_kappa(p)
+    if check_admissible and p.kind == "xlogx_shifted":
+        _require_shift_positive(ts, phi + dk)
     integrand = np.zeros_like(yvals)
-    if p.kind == "power_weighted":
-        factor = averaged_chain_factor(p.phi, yvals[..., kap], ts._mu[kap], dk)
-        integrand[..., kap] = (factor * dk) ** p.alpha
-    elif p.kind == "exp_derivative":
-        integrand[..., kap] = _phi_on_kappa(p) * np.exp(dk)
-    else:
-        s = _phi_on_kappa(p) + dk
-        if check_admissible and np.any(s <= 0.0):
-            worst = np.argmin(s.reshape(-1, s.shape[-1]).min(axis=0))
-            t_bad = float(ts.points[worst])
-            raise AdmissibilityError(
-                f"phi + y_delta must be positive; fails at t = {t_bad}",
-                point=t_bad, condition="phi + y_delta > 0")
-        integrand[..., kap] = s * np.log(np.maximum(s, 1e-300))
+    integrand[..., kap] = gap_integrand(p, yvals[..., kap], dk, ts._mu[kap], phi)
     if check_admissible and not np.all(np.isfinite(integrand)):
         raise DomainError("the functional's integrand is not finite")
     return ts.delta_integral(integrand)

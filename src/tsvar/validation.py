@@ -2,14 +2,16 @@
 
 These operate on purely discrete time scales, where the admissible set is a
 finite-dimensional simplex of positive increments summing to the boundary
-value.  Exhaustive enumeration over a resolution lattice, seeded random
+value.  Exhaustive certification over a resolution lattice, seeded random
 sampling, and local perturbation checks all compare candidate functional
-values against the closed-form optimum.
+values against the closed-form optimum.  The exhaustive mode covers every
+lattice candidate without evaluating each one: a min-plus dynamic
+programme over the lattice levels bounds all candidates' values, and only
+those that can lie within CERTIFY_SLACK of the best are evaluated.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import asdict, dataclass, field
@@ -19,7 +21,8 @@ import numpy as np
 
 from .errors import (AdmissibilityError, BudgetError, DomainError,
                      PreconditionError)
-from .solvers import VariationalProblem, evaluate_functional, solve
+from .solvers import (VariationalProblem, _phi_on_kappa, evaluate_functional,
+                      gap_integrand, solve)
 from .timescale import GridFunction, real_interval
 
 #: slack absorbing accumulated floating-point error across candidate terms
@@ -31,6 +34,10 @@ PERTURB_SLACK = 1e-12
 #: candidate rows per evaluate_functional call in the exhaustive and random
 #: modes, which bounds their working memory
 BATCH_ROWS = 4096
+
+#: level pairs per block of the exhaustive mode's dynamic programme: as
+#: many cells as BATCH_ROWS candidate rows of 8 values, so the same memory
+_LEVEL_PAIRS = 8 * BATCH_ROWS
 
 
 @dataclass(frozen=True)
@@ -95,17 +102,26 @@ def _verdict(best, closed, extremum):
 
 def exhaustive_verify(p: VariationalProblem, resolution: float,
                       budget: int = 10 ** 7) -> OracleReport:
-    """Enumerate every lattice-admissible trajectory and compare with the
-    closed form.
+    """Cover every lattice-admissible trajectory and compare the best with
+    the closed form.
 
     The first n-1 increments are positive multiples of `resolution`; the
     last, the remainder up to B, must be positive (it absorbs the fraction
     when B is not a lattice multiple).  That gives C(bound, n-1) candidates,
-    bound the largest lattice sum leaving a positive remainder.  The best is
-    the first candidate, in lexicographic order, with the smallest computed
-    value (largest for a maximum); `optima_count` counts the candidates
-    within CERTIFY_SLACK of it.  An empty lattice (no n-1 positive
-    increments leave a positive tail) raises PreconditionError.
+    bound the largest lattice sum leaving a positive remainder; they are
+    all covered, and `candidates_evaluated` counts them.  A min-plus dynamic
+    programme over the cut levels {0, ..., bound} bounds every candidate's
+    value from below, and only the candidates whose bound lies within
+    CERTIFY_SLACK of the optimum, plus a rounding margin, are evaluated with
+    `evaluate_functional`; every other candidate provably lies further from
+    the best.  The best is the first candidate, in lexicographic order,
+    with the smallest computed value (largest for a maximum);
+    `optima_count` counts the candidates within CERTIFY_SLACK of it.  An
+    empty lattice (no n-1 positive increments leave a positive tail)
+    raises PreconditionError, and a lattice too fine to count raises
+    BudgetError.  Working memory stays within blocks of BATCH_ROWS
+    candidates, and of as many level pairs as such a block holds values,
+    apart from vectors with one entry per level.
     """
     _require_discrete(p, max_atoms=8)
     if resolution <= 0:
@@ -115,6 +131,10 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
     B = float(p.B)
 
     ratio = B / resolution
+    if not math.isfinite(ratio):
+        raise BudgetError(
+            f"B / resolution = {ratio} levels exceed any budget; "
+            f"use a coarser resolution")
     m = int(math.floor(ratio + 1e-9))
     exact = abs(ratio - round(ratio)) <= 1e-9
     bound = m - 1 if exact else m       # max lattice sum leaving a positive tail
@@ -130,9 +150,14 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
     best_y = None
     near = np.empty(0)         # values within CERTIFY_SLACK of the running best
     evaluated = 0
-    subsets = itertools.combinations(range(1, bound + 1), n - 1)
-    while block := list(itertools.islice(subsets, BATCH_ROWS)):
-        head = np.diff(np.array(block), axis=1, prepend=0) * resolution
+    if n == 1:
+        blocks = [np.zeros((1, 0), dtype=np.int64)]
+    elif count:
+        blocks = _Lattice(p, sign, bound, resolution).near_optimal_cuts()
+    else:
+        blocks = []
+    for cuts in blocks:
+        head = np.diff(cuts, axis=1, prepend=0) * resolution
         # at most 6 terms a row under the 8-atom cap: numpy adds them in order
         tail = B - head.sum(axis=1)
         keep = tail > 0
@@ -156,7 +181,7 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
     best_val *= sign
     best = GridFunction(p.ts, best_y) if best_y is not None else None
     return OracleReport(
-        candidates_evaluated=evaluated,
+        candidates_evaluated=count,
         best_value_found=float(best_val),
         best_candidate=best,
         closed_form_value=closed,
@@ -164,6 +189,168 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
         mode=f"exhaustive(resolution={resolution})",
         optima_count=len(near),
     )
+
+
+def _chunks(levels):
+    """Consecutive pieces of at most _LEVEL_PAIRS levels."""
+    return [levels[i:i + _LEVEL_PAIRS]
+            for i in range(0, len(levels), _LEVEL_PAIRS)]
+
+
+class _Lattice:
+    """Bounds on the sign-adjusted discrete functional of the lattice
+    candidates, by a min-plus dynamic programme over their cut levels.
+
+    A candidate is a row of cuts 0 < c_1 < ... < c_{n-1} <= bound: its
+    trajectory is y_i = c_i * resolution, with y_0 = 0 and y_n = B.  Level
+    index bound + 1 stands for B, so cut c_n is always that index.  Each
+    gap's term sign * mu_i * I(y_i, y_{i+1}) depends on its two ends only,
+    so the least sum over the cuts after c_i is a table over c_i alone
+    (Bellman's cost-to-go), built backwards one gap at a time.
+    """
+
+    def __init__(self, p, sign, bound, resolution):
+        self.p, self.sign, self.bound = p, sign, bound
+        self.n = n = len(p.ts.points) - 1
+        self.mu = np.diff(p.ts.points)
+        self.phi = (None if p.kind == "power_weighted"
+                    else _phi_on_kappa(p))
+        self.levels = np.append(np.arange(bound + 1) * resolution, float(p.B))
+        # The rounding margin delta, carried term by term.  _evaluate_rows
+        # builds y_i as a running sum of rounded increments, and y_n as
+        # that sum plus the rounded B minus it; each lies within (2n + 3) u Y
+        # of the exact level (u = 2**-53, Y = max(|B|, bound * resolution)),
+        # and so does each level here.  So the evaluator computes the same
+        # integrand as here, at ends shifted by at most eps = 2 (2n + 3) u
+        # max(Y, 1): the factor 2 is headroom, and max(Y, 1) also covers the
+        # rounding of phi's antiderivative differences in the power-weighted
+        # term, of order u max(y, 1) phi(y) for the library's weights.
+        # Each integrand is monotone in each end, or convex in their
+        # difference, so over the shifted ends its exact value lies in
+        # [lo - spread, hi], with lo and hi the least and greatest of its
+        # values at the nominal ends and at the two far corners, and spread
+        # = hi - lo (a convex term dips below lo by less than spread).  On
+        # top, each side rounds the integrand by a few ulps and sums at
+        # most n + 1 terms (Higham's gamma_{n+1}); rho |term|, with rho =
+        # 4 (n + 8) u, covers both twice.  So a term's bounds are lo - pad
+        # and hi + pad, pad = spread + rho |term|, and a candidate's
+        # computed value lies between the sums of its bounds, within delta
+        # = sum(spread + pad) of the sum of its nominal terms.
+        u = np.finfo(float).eps / 2
+        eps = 2 * (2 * n + 3) * u * max(abs(float(p.B)), bound * resolution, 1.0)
+        # the nominal ends, then the two far corners of the shifted ends
+        self.shift = np.array([0.0, -1.0, 1.0])[:, None, None] * eps
+        self.rho = 4 * (n + 8) * u
+        # lower bounds of the gaps whose table fits in one block, kept for
+        # the walk: gap i -> (its first row level, first column level, table)
+        self.tables = {}
+
+    def _span(self, c):
+        """Range of level indices that cut c can take."""
+        if c == 0:
+            return 0, 0
+        if c == self.n:
+            return self.bound + 1, self.bound + 1
+        return c, self.bound - self.n + 1 + c
+
+    def _terms(self, i, js, ks):
+        """(low, high): bounds on gap i's term from levels js (column) to
+        levels ks (row), +inf where the gap is not positive."""
+        mu, phi = self.mu[i], None if self.phi is None else self.phi[i]
+        y0 = self.levels[js][:, None] + (self.shift if i else 0.0)  # y_0 = 0
+        y1 = self.levels[ks] - self.shift
+        with np.errstate(all="ignore"):
+            t = self.sign * mu * gap_integrand(self.p, y0, (y1 - y0) / mu, mu, phi)
+            lo, hi = t.min(axis=0), t.max(axis=0)
+            pad = hi - lo + self.rho * np.abs(t).max(axis=0)
+            low = np.where(lo == np.inf, lo, lo - pad)
+            high = np.where(hi == -np.inf, hi, hi + pad)
+        low[np.isnan(low)] = -np.inf        # not bounded: always kept
+        high[np.isnan(high)] = np.inf
+        off = ks <= js[:, None]
+        low[off] = high[off] = np.inf
+        return low, high
+
+    def _cost_to_go(self):
+        """Lower-bound cost-to-go of every cut level, per cut index, and
+        the least upper-bound total over all candidates.  ctg[c][j - j0]
+        belongs to level j of cut c, with j0 the first level of cut c."""
+        low = high = np.zeros(1)              # cut n is B, with nothing after
+        self.ctg = [None] * self.n + [low]
+        for i in range(self.n - 1, -1, -1):
+            (j0, j1), (k0, k1) = self._span(i), self._span(i + 1)
+            nxt_low, nxt_high = low, high
+            low, high = np.full(j1 - j0 + 1, np.inf), np.full(j1 - j0 + 1, np.inf)
+            step = max(1, _LEVEL_PAIRS // (k1 - k0 + 1))
+            for start in range(j0, j1 + 1, step):
+                js = np.arange(start, min(start + step, j1 + 1))
+                ks = np.arange(max(k0, start + 1), k1 + 1)
+                for kc in _chunks(ks):
+                    l, h = self._terms(i, js, kc)
+                    if l.size == (j1 - j0 + 1) * len(ks):   # the whole table
+                        self.tables[i] = (j0, kc[0], l)
+                    rows = js - j0
+                    low[rows] = np.minimum(low[rows],
+                                           (l + nxt_low[kc - k0]).min(axis=1))
+                    high[rows] = np.minimum(high[rows],
+                                            (h + nxt_high[kc - k0]).min(axis=1))
+            self.ctg[i] = low
+        return float(high[0])
+
+    def near_optimal_cuts(self):
+        """Every cut row whose lower bound lies within CERTIFY_SLACK of the
+        least upper bound, in lexicographic order, in blocks of at most
+        BATCH_ROWS rows.
+
+        In nominal terms a prefix is kept while prefix + term + cost-to-go
+        <= optimum + CERTIFY_SLACK + 2 delta, with the delta of the prefix's
+        completion and that of the optimal path carried in the bounds.  Any
+        candidate within CERTIFY_SLACK of the best computed value is kept:
+        its lower bound is at most its computed value, the best is at most
+        the computed value of the candidate with the least upper bound, and
+        that is at most its upper bound.  Prefixes are expanded depth first,
+        so only the open prefixes of one path are held.
+        """
+        n = self.n
+        thr = self._cost_to_go() + CERTIFY_SLACK
+        stack = [(np.zeros((1, 0), dtype=np.int64), np.zeros(1))]
+        done, held = [], 0
+        while stack:
+            cuts, cost = stack.pop()
+            g = cuts.shape[1]                 # the gap from cut g to cut g + 1
+            js = cuts[:, -1] if g else np.zeros(1, dtype=np.int64)
+            k0, k1 = self._span(g + 1)
+            ks = np.arange(max(k0, int(js.min()) + 1), k1 + 1)
+            take = max(1, _LEVEL_PAIRS // len(ks))
+            if len(cuts) > take:
+                stack.append((cuts[take:], cost[take:]))
+                cuts, cost, js = cuts[:take], cost[:take], js[:take]
+            parts = []                        # (rows, cut levels, costs)
+            for kc in _chunks(ks):
+                if g in self.tables:
+                    j0, c0, table = self.tables[g]
+                    low = table[js - j0][:, kc - c0]
+                else:
+                    low = self._terms(g, js, kc)[0]
+                total = cost[:, None] + low
+                r, c = np.nonzero((total + self.ctg[g + 1][kc - k0] <= thr)
+                                  & (kc > js[:, None]))
+                parts.append((r, kc[c], total[r, c]))
+            r, k, total = (np.concatenate(a) for a in zip(*parts))
+            if not len(r):
+                continue
+            child = np.column_stack([cuts[r], k])
+            if g + 2 < n:
+                stack.append((child, total))
+                continue
+            done.append(child)
+            held += len(child)
+            while held >= BATCH_ROWS:
+                rows = np.concatenate(done)
+                yield rows[:BATCH_ROWS]
+                done, held = [rows[BATCH_ROWS:]], held - BATCH_ROWS
+        if held:
+            yield np.concatenate(done)
 
 
 def random_verify(p: VariationalProblem, samples: int, seed: int) -> OracleReport:

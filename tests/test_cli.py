@@ -287,6 +287,21 @@ class TestCheck:
         assert rep["direction"] == "concave_le"
         assert rep["holds"] is True
 
+    @pytest.mark.parametrize("check", [
+        {"kind": "exp", "f": [709.7, 709.7]},
+        {"kind": "weighted_jensen", "f": [1e300, 2], "h": [1, 3],
+         "F": {"family": "power", "alpha": 2}},
+    ])
+    def test_overflow_exit_3(self, tmp_path, capsys, check):
+        # the side that overflows is named; stdout never holds Infinity
+        payload = {"schema_version": "1",
+                   "timescale": {"kind": "custom", "atoms": [0, 1, 2]},
+                   "check": check}
+        f = write_json(tmp_path / "c.json", payload)
+        code, out, err = run_cli(["check", f], capsys)
+        assert code == 3
+        assert out == "" and "lhs is not finite" in err
+
     def test_missing_F_exit_2(self, tmp_path, capsys):
         payload = {
             "schema_version": "1",
@@ -362,6 +377,15 @@ class TestVerify:
         assert code == 3
         assert out == "" and err.startswith("error[precondition]")
 
+    def test_resolution_too_fine_exit_3(self, tmp_path, capsys):
+        # B / resolution overflows to inf
+        payload = dict(WORKED_PROBLEM,
+                       oracle={"mode": "exhaustive", "resolution": 1e-320})
+        f = write_json(tmp_path / "p.json", payload)
+        code, out, err = run_cli(["verify", f], capsys)
+        assert code == 3
+        assert out == "" and err.startswith("error[precondition]")
+
     @pytest.mark.parametrize("corrupt", ["abc", "1:x", "99:0.1", "1:2:3"])
     def test_bad_corrupt_exit_2(self, tmp_path, capsys, corrupt):
         payload = json.loads(json.dumps(WORKED_PROBLEM))
@@ -410,7 +434,25 @@ _FUZZ_BASES = [
     ("solve", WORKED_PROBLEM),
     ("verify", dict(WORKED_PROBLEM,
                     oracle={"mode": "random", "samples": 5, "seed": 0})),
+    ("verify", dict(WORKED_PROBLEM,
+                    oracle={"mode": "exhaustive", "resolution": 1})),
+    # a lattice too fine to count: B / resolution overflows
+    ("verify", dict(WORKED_PROBLEM,
+                    oracle={"mode": "exhaustive", "resolution": 1e-320})),
+    ("verify", dict(WORKED_PROBLEM,
+                    oracle={"mode": "perturbation", "eps": 0.1})),
     ("check", WEIGHTED_CHECK),
+    # values near the overflow edge: G(B) = e^B - 1 and each special
+    # inequality
+    ("solve", dict(WORKED_PROBLEM,
+                   timescale={"kind": "uniform", "a": 0, "b": 1, "n": 2},
+                   problem={"kind": "power_weighted", "B": 700, "alpha": 2,
+                            "phi": {"family": "exp"}})),
+    ("check", dict(WEIGHTED_CHECK, check={"kind": "exp", "f": [709.7, 709.7]})),
+    ("check", dict(WEIGHTED_CHECK, check={"kind": "power", "alpha": 2,
+                                          "f": [1e154, 1e154]})),
+    ("check", dict(WEIGHTED_CHECK, check={"kind": "xlogx",
+                                          "f": [1e305, 1e305]})),
 ]
 
 #: strings the parser knows, so a fuzzed file also reaches other branches

@@ -265,3 +265,43 @@ class TestSharpness:
             else:
                 assert rep.gap > 1e-8
                 assert not rep.f_is_constant
+
+
+class TestOverflow:
+    """An overflow raises DomainError naming the side that is not finite;
+    pytest turns any leaked RuntimeWarning into a failure."""
+
+    def test_exp_lhs_sum_overflows(self):
+        # each e^709.7 is finite, their sum is not
+        with pytest.raises(DomainError, match="lhs is not finite"):
+            special_case_gap("exp", T3, [709.7, 709.7])
+
+    @pytest.mark.parametrize("kind,f,alpha", [
+        ("exp", [800.0, 800.0], None),
+        ("power", [1e300, 1e300], 2.0),
+        ("reciprocal_power", [1e-300, 1e300], 2.0),
+    ])
+    def test_special_lhs_overflows(self, kind, f, alpha):
+        with pytest.raises(DomainError, match="lhs is not finite"):
+            special_case_gap(kind, T3, f, alpha)
+
+    @pytest.mark.parametrize("kind", ["log", "xlogx"])
+    def test_special_mean_overflows(self, kind):
+        with pytest.raises(DomainError, match="mean is not finite"):
+            special_case_gap(kind, T3, [1e308, 1e308])
+
+    def test_weighted_lhs_overflows(self):
+        with pytest.raises(DomainError, match="lhs is not finite"):
+            weighted_jensen_gap(T3, [1e300, 2.0], [1.0, 3.0], Power(2.0))
+
+    def test_weighted_mean_overflows(self):
+        with pytest.raises(DomainError, match="mean is not finite"):
+            weighted_jensen_gap(T3, [1e308, 1e308], [1.0, 3.0], Identity())
+
+    def test_quasi_arithmetic_mean_overflows(self):
+        with pytest.raises(DomainError, match="mean is not finite"):
+            quasi_arithmetic_gap(T3, [1e308, 1e308], Identity(), Power(2.0))
+
+    def test_large_finite_values_still_checked(self):
+        rep = special_case_gap("exp", T3, [709.0, 709.0])
+        assert math.isfinite(rep.lhs) and rep.equality

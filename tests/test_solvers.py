@@ -215,6 +215,22 @@ class TestDegenerateAndOverflow:
         with pytest.raises(DomainError, match="C = inf"):
             solve(p)
 
+    def test_power_weight_integral_overflow(self):
+        # G(B) = e^1000 - 1 overflows, so C is not finite; the error names C
+        # and no warning leaks
+        p = VariationalProblem("power_weighted", uniform(0, 1, 2), 1000.0,
+                               Exp(), alpha=2.0)
+        with pytest.raises(DomainError, match="C = inf is not finite"):
+            solve(p)
+
+    def test_power_root_bracket_overflow(self):
+        # C = e^700 is finite, but bracketing its inverse by doubling passes
+        # exp(1024); the optimum C^2 then overflows
+        p = VariationalProblem("power_weighted", uniform(0, 1, 2), 700.0,
+                               Exp(), alpha=2.0)
+        with pytest.raises(DomainError, match="optimal value"):
+            solve(p)
+
     @pytest.mark.parametrize("kind", ["exp_derivative", "xlogx_shifted"])
     def test_overflowing_phi_names_its_point(self, kind):
         # exp(1000) overflows at t = 1000, the first point where phi is not

@@ -1,9 +1,11 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsvar import (
     Affine,
@@ -128,6 +130,43 @@ class TestExhaustive:
         with pytest.raises(PreconditionError, match="8 atoms"):
             exhaustive_verify(p, resolution=1.0)
 
+    def test_resolution_too_fine(self):
+        # B / resolution overflows to inf: no lattice can be counted
+        with pytest.raises(BudgetError, match="not finite|exceed"):
+            exhaustive_verify(worked_problem(), resolution=1e-320)
+
+    def test_flat_functional_all_tie(self):
+        # alpha = 1 + 1e-12 with phi = 1 makes every value 30 within far
+        # less than CERTIFY_SLACK: every candidate is an optimum
+        p = VariationalProblem("power_weighted", uniform(0, 5, 5), 30.0,
+                               Constant(1.0), alpha=1.0 + 1e-12)
+        rep = exhaustive_verify(p, resolution=1.0)
+        assert rep.candidates_evaluated == math.comb(29, 4) == 23751
+        assert rep.optima_count == 23751
+
+    @pytest.mark.parametrize("ts,B,resolution,count", [
+        (uniform(0, 2, 2), 2.0, 1e-5, 199999),
+        (uniform(0, 3, 3), 3.0, 1.5e-3, math.comb(1999, 2)),
+        (uniform(0, 1, 1), 2.0, 2e-12, 1),      # bound ~ 10**12
+    ])
+    @pytest.mark.parametrize("kind,phi,alpha", [
+        ("power_weighted", Affine(0.5, 1.0), 2.0),
+        ("xlogx_shifted", Constant(1.0), None),
+    ])
+    def test_memory_bounded(self, ts, B, resolution, count, kind, phi, alpha):
+        # the level tables are built in blocks: no (levels x levels) table
+        # and no level array for one step
+        p = VariationalProblem(kind, ts, B, phi, alpha=alpha)
+        tracemalloc.start()
+        try:
+            rep = exhaustive_verify(p, resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.candidates_evaluated == count
+        assert rep.certified
+        assert peak < 32 * 2 ** 20
+
     @pytest.mark.parametrize("kind,phi,alpha,B,resolution,count", [
         ("exp_derivative", Affine(0.5, 1.0), None, 3.2, 0.1, 4495),
         ("xlogx_shifted", Constant(1.0), None, 3.25, 0.1, 4960),
@@ -136,31 +175,68 @@ class TestExhaustive:
     ])
     def test_matches_product_enumeration(self, kind, phi, alpha, B,
                                          resolution, count):
-        # an independent reference: every integer tuple of first n - 1
-        # increments whose lattice sum leaves a positive remainder, through
-        # evaluate_functional with admissibility checked
         ts = custom(atoms=[0.0, 0.5, 1.25, 2.0, 3.0])
         p = VariationalProblem(kind, ts, B, phi, alpha=alpha)
-        n = len(ts.points) - 1
-        top = math.ceil(B / resolution)
-        heads = np.array([ks for ks in itertools.product(range(1, top + 1),
-                                                         repeat=n - 1)
-                          if sum(ks) * resolution < B * (1 - 1e-9)],
-                         dtype=float) * resolution
-        D = np.column_stack([heads, B - heads.sum(axis=1)])
-        Y = np.concatenate([np.zeros((len(D), 1)), np.cumsum(D, axis=1)],
-                           axis=1)
-        sign = 1.0 if solve(p).extremum == "min" else -1.0
-        vals = sign * evaluate_functional(p, Y)
+        Y, vals, sign = product_reference(p, resolution)
         near = vals <= vals.min() + validation.CERTIFY_SLACK
 
         rep = exhaustive_verify(p, resolution)
-        assert len(D) == count == rep.candidates_evaluated
+        assert len(Y) == count == rep.candidates_evaluated
         assert rep.optima_count == np.count_nonzero(near)
         assert sign * rep.best_value_found == pytest.approx(vals.min(),
                                                             abs=1e-12)
         assert np.any(np.all(np.isclose(Y[near], rep.best_candidate.values,
                                         rtol=0, atol=1e-12), axis=1))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(["power_weighted", "exp_derivative",
+                                 "xlogx_shifted"]),
+           alpha=st.sampled_from([-1.0, 0.5, 2.0, 3.0]),
+           n=st.integers(1, 5), extra=st.integers(0, 6),
+           uniform_scale=st.booleans(), affine=st.booleans(),
+           resolution=st.sampled_from([1.0, 0.5, 0.1, 0.3]),
+           fraction=st.sampled_from([0.0, 0.25, 0.6]))
+    def test_best_is_first_strict_minimum(self, kind, alpha, n, extra,
+                                          uniform_scale, affine, resolution,
+                                          fraction):
+        # phi = 1 on a uniform scale gives exact ties; alpha = 0.5 is a
+        # maximum problem; a fraction makes B a non-lattice value
+        ts = (uniform(0, n, n) if uniform_scale
+              else custom(atoms=np.cumsum([0.0] + [0.5, 1.0, 1.5, 0.75, 1.25][:n])))
+        phi = Affine(0.5, 1.0) if affine else Constant(1.0)
+        B = (n + extra + fraction) * resolution
+        p = VariationalProblem(kind, ts, B, phi,
+                               alpha=alpha if kind == "power_weighted" else None)
+        try:
+            Y, vals, sign = product_reference(p, resolution)
+        except FeasibilityError:
+            return                      # no closed form to compare with
+        rep = exhaustive_verify(p, resolution)
+        first = int(np.argmin(vals))
+        assert rep.candidates_evaluated == len(vals)
+        assert rep.best_candidate.values.tolist() == Y[first].tolist()
+        assert sign * rep.best_value_found == vals[first]
+        assert rep.optima_count == np.count_nonzero(
+            vals <= vals[first] + validation.CERTIFY_SLACK)
+
+    @pytest.mark.parametrize("kind,alpha,B,M", [
+        ("power_weighted", 2.0, 6.85e10, 13),
+        ("power_weighted", 2.0, 1e12, 11),
+        ("power_weighted", 3.0, 1e12, 14),
+        ("xlogx_shifted", None, 6.85e10, 12),
+    ])
+    def test_large_magnitude_ties_match_reference(self, kind, alpha, B, M):
+        # the exact ties among the optimal increments' orderings fall apart
+        # by many ulps, each far above CERTIFY_SLACK: the bounds need their
+        # rounding margin to keep the row the evaluator ranks first
+        p = VariationalProblem(kind, uniform(0, 5, 5), B, Constant(1.0),
+                               alpha=alpha)
+        Y, vals, sign = product_reference(p, B / M)
+        rep = exhaustive_verify(p, B / M)
+        first = int(np.argmin(vals))
+        assert rep.best_candidate.values.tolist() == Y[first].tolist()
+        assert rep.optima_count == np.count_nonzero(
+            vals <= vals[first] + validation.CERTIFY_SLACK)
 
     def test_nonlattice_boundary(self):
         # B = 1.05 with resolution 0.5: the tail absorbs the remainder
@@ -171,6 +247,23 @@ class TestExhaustive:
         assert rep.certified
         for inc in np.diff(rep.best_candidate.values):
             assert inc > 0
+
+
+def product_reference(p, resolution):
+    """Brute force independent of the oracle: every integer tuple of first
+    n - 1 increments whose lattice sum leaves a positive remainder, in
+    lexicographic order, through evaluate_functional with admissibility
+    checked.  Returns the trajectories, their sign-adjusted values and the
+    sign."""
+    sign = 1.0 if solve(p).extremum == "min" else -1.0
+    n, B = len(p.ts.points) - 1, float(p.B)
+    top = math.ceil(B / resolution)
+    heads = [ks for ks in itertools.product(range(1, top + 1), repeat=n - 1)
+             if sum(ks) * resolution < B * (1 - 1e-9)]
+    heads = np.array(heads, dtype=float).reshape(len(heads), n - 1) * resolution
+    D = np.column_stack([heads, B - heads.sum(axis=1)])
+    Y = np.concatenate([np.zeros((len(D), 1)), np.cumsum(D, axis=1)], axis=1)
+    return Y, sign * evaluate_functional(p, Y), sign
 
 
 class TestRandom:
