@@ -1,17 +1,18 @@
-"""Command-line front end.
+"""Command-line front end: ``solve <file> -o <dir>`` solves a variational
+problem file and writes solution.json and trajectory.csv, ``check <file>``
+evaluates an inequality check file, ``verify <file>`` runs the oracle block of
+a problem file, and ``verify --wsc`` reproduces the counterexample to the
+prior literature's constant-bound claim.
 
-Subcommands:
-    solve <file> -o <dir>   solve a variational problem file, write
-                            solution.json and trajectory.csv
-    check <file>            evaluate an inequality check file
-    verify <file>           run the oracle block of a problem file
-    verify --wsc            reproduce the counterexample to the prior
-                            literature's constant-bound claim
-
-Problem files are strict JSON with an explicit schema_version; unknown keys
-are rejected.  Exit codes: 0 success / certified / holds, 2 parse error,
-3 precondition / feasibility / budget error, 4 inequality violated,
-5 oracle refuted.
+Input files are strict JSON with an explicit schema_version.  The whole file
+is checked against ``_SCHEMA`` before any time scale, function or problem is
+built, so an unknown, missing or ill-typed key, kind or family exits 2 even
+in a file that would also fail to build; only the oracle's mode waits for
+``verify``.  ``verify --candidate`` reads a CSV with a finite ``y`` in each of
+its rows, one per point; ``--corrupt`` needs a perturbation oracle and no
+``--candidate``; ``solve -o`` exits 2 when it cannot write.  Exit codes:
+0 success / certified / holds, 2 parse or usage error, 3 precondition /
+feasibility / budget error, 4 inequality violated, 5 oracle refuted.
 """
 
 from __future__ import annotations
@@ -44,202 +45,198 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-# -- strict schema parsing ------------------------------------------------
+# -- leaf kinds: each checks one value and names it in the error ------------
+
+_MAX = sys.float_info.max
 
 
-def _check_keys(block, required, optional=(), where="file"):
-    if not isinstance(block, dict):
-        raise SchemaError(f"{where} must be an object")
-    keys = set(block)
-    missing = set(required) - keys
-    if missing:
-        raise SchemaError(f"{where}: missing keys {sorted(missing)}")
-    unknown = keys - set(required) - set(optional)
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+def _number(value, name, types=(int, float), what="a finite number"):
+    # false for NaN, for infinities and for ints beyond the float range
+    if type(value) not in types or not abs(value) <= _MAX:
+        raise SchemaError(f"{name!r} must be {what}, got {value!r}")
 
 
-def parse_function(block, where="function"):
-    _check_keys(block, ["family"],
-                ["value", "slope", "intercept", "alpha", "coefficients",
-                 "transform"], where)
-    family = block["family"]
-    if family == "constant":
-        fn = functions.Constant(block.get("value", 0.0))
-    elif family == "affine":
-        fn = functions.Affine(block.get("slope", 1.0), block.get("intercept", 0.0))
-    elif family == "identity":
-        fn = functions.Identity()
-    elif family == "power":
-        if "alpha" not in block:
-            raise SchemaError(f"{where}: power family needs alpha")
-        fn = functions.Power(block["alpha"])
-    elif family == "exp":
-        fn = functions.Exp()
-    elif family == "log":
-        fn = functions.Log()
-    elif family == "xlogx":
-        fn = functions.XLogX()
-    elif family == "polynomial":
-        if "coefficients" not in block:
-            raise SchemaError(f"{where}: polynomial family needs coefficients")
-        fn = functions.Polynomial(block["coefficients"])
-    else:
-        raise SchemaError(f"{where}: unknown family {family!r}")
-    if "transform" in block:
-        tr = block["transform"]
-        _check_keys(tr, [], ["in_scale", "in_shift", "out_scale", "out_shift"],
-                    f"{where}.transform")
-        fn = functions.Transformed(fn,
-                                   in_scale=tr.get("in_scale", 1.0),
-                                   in_shift=tr.get("in_shift", 0.0),
-                                   out_scale=tr.get("out_scale", 1.0),
-                                   out_shift=tr.get("out_shift", 0.0))
-    return fn
+def _integer(value, name):
+    # counts, exponents and seeds, which 2.5 or 2.0 would truncate
+    _number(value, name, (int,), "an integer")
 
 
-#: time scale kind -> (constructor, required keys passed in order,
-#: optional keys passed by name when present); any other scale key the
-#: schema knows is accepted and ignored
-_SCALE_KINDS = {
+def _string(value, name):
+    if not isinstance(value, str):
+        raise SchemaError(f"{name!r} must be a string, got {value!r}")
+
+
+def _numbers(value, name):
+    if not isinstance(value, list):
+        raise SchemaError(f"{name!r} must be an array of numbers, got {value!r}")
+    for i, v in enumerate(value):
+        # _number's test inline: an element's name is built only if it fails
+        if type(v) not in (int, float) or not abs(v) <= _MAX:
+            _number(v, f"{name}[{i}]")
+
+
+def _pairs(value, name):
+    if not isinstance(value, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in value):
+        raise SchemaError(f"{name!r} must be an array of [lo, hi] pairs, got {value!r}")
+    for i, pair in enumerate(value):
+        _numbers(pair, f"{name}[{i}]")
+
+
+# -- variant tables: name -> (constructor, required keys passed in order,
+# -- optional keys -> the argument names they are passed by when present) --
+
+# a table of names alone: the version requires and builds nothing
+_VERSIONS = {SCHEMA_VERSION: (None, (), {})}
+
+_SCALES = {
     "uniform": (timescale.uniform, ("a", "b", "n"), {}),
     "q_scale": (timescale.q_scale, ("q", "n", "m"), {}),
     "real_interval": (timescale.real_interval, ("a", "b"), {"nodes": "nodes"}),
-    "custom": (timescale.custom, (),
-               {"atoms": "atoms", "intervals": "intervals",
-                "quad_nodes": "quad_nodes_per_interval"}),
+    "custom": (timescale.custom, (), {"atoms": "atoms", "intervals": "intervals",
+                                      "quad_nodes": "quad_nodes_per_interval"}),
 }
 
-_SCALE_KEYS = sorted({key for _, required, optional in _SCALE_KINDS.values()
-                      for key in (*required, *optional)})
+_FAMILIES = {
+    "constant": (lambda value=0.0: functions.Constant(value), (), {"value": "value"}),
+    "affine": (lambda slope=1.0, intercept=0.0: functions.Affine(slope, intercept),
+               (), {"slope": "slope", "intercept": "intercept"}),
+    "identity": (functions.Identity, (), {}),
+    "power": (functions.Power, ("alpha",), {}),
+    "exp": (functions.Exp, (), {}),
+    "log": (functions.Log, (), {}),
+    "xlogx": (functions.XLogX, (), {}),
+    "polynomial": (functions.Polynomial, ("coefficients",), {}),
+}
+
+# Checks and oracles look jensen's and validation's functions up when called, so
+# they see a wrapper put on the module; a check takes ts and f first, an oracle p.
+_CHECKS = {
+    "weighted_jensen": (lambda ts, f, h, F: jensen.weighted_jensen_gap(
+        ts, f, timescale.GridFunction(ts, h), parse_function(F)), ("h", "F"), {}),
+    "jensen": (lambda ts, f, F: jensen.jensen_gap(ts, f, parse_function(F)),
+               ("F",), {}),
+    **{kind: (lambda ts, f, alpha=None, kind=kind: jensen.special_case_gap(
+        kind, ts, f, alpha=alpha), (), {"alpha": "alpha"})
+       for kind in ("power", "reciprocal_power", "exp", "log", "xlogx")},
+    "quasi_arithmetic": (lambda ts, f, phi, psi: jensen.quasi_arithmetic_gap(
+        ts, f, parse_function(phi), parse_function(psi)), ("phi", "psi"), {}),
+}
+
+_ORACLES = {
+    "exhaustive": (lambda p, resolution: validation.exhaustive_verify(
+        p, float(resolution)), ("resolution",), {}),
+    "random": (lambda p, samples, seed=0: validation.random_verify(
+        p, samples, seed), ("samples",), {"seed": "seed"}),
+    "perturbation": (lambda p, eps, trajectory=None: validation.perturbation_verify(
+        p, float(eps), trajectory=trajectory), ("eps",), {}),
+}
+
+#: block -> (required keys, optional keys); a key maps to the leaf kind that
+#: checks its value, the block it holds, or the variant table its value names.
+#: A block accepts every key its variants read; each variant requires its own.
+_SCHEMA = {
+    "problem file": ({"schema_version": _VERSIONS, "timescale": "timescale",
+                      "problem": "problem"}, {"oracle": "oracle"}),
+    "check file": ({"schema_version": _VERSIONS, "timescale": "timescale",
+                    "check": "check"}, {}),
+    "timescale": ({"kind": _SCALES},
+                  {"a": _number, "b": _number, "n": _integer, "q": _number,
+                   "m": _integer, "nodes": _integer, "atoms": _numbers,
+                   "intervals": _pairs, "quad_nodes": _integer}),
+    "problem": ({"kind": _string, "B": _number, "phi": "function"},
+                {"alpha": _number}),
+    "function": ({"family": _FAMILIES},
+                 {"value": _number, "slope": _number, "intercept": _number,
+                  "alpha": _number, "coefficients": _numbers,
+                  "transform": "transform"}),
+    # keys named as Transformed's arguments, with its defaults
+    "transform": ({}, {"in_scale": _number, "in_shift": _number,
+                       "out_scale": _number, "out_shift": _number}),
+    # a string here: verify alone reads the mode, from _ORACLES
+    "oracle": ({"mode": _string}, {"resolution": _number, "samples": _integer,
+                                   "seed": _integer, "eps": _number}),
+    "check": ({"kind": _CHECKS, "f": _numbers},
+              {"h": _numbers, "F": "function", "alpha": _number,
+               "phi": "function", "psi": "function"}),
+}
+
+
+def _walk(block, name, where):
+    """Check a block, and each block in it, against ``_SCHEMA[name]``."""
+    if not isinstance(block, dict):
+        raise SchemaError(f"{where} must be an object, got {block!r}")
+    required, optional = _SCHEMA[name]
+    unknown = block.keys() - required.keys() - optional.keys()
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = required.keys() - block.keys()
+    if missing:
+        raise SchemaError(f"{where}: missing keys {sorted(missing)}")
+    for key, value in block.items():
+        kind = required[key] if key in required else optional[key]
+        if isinstance(kind, str):
+            _walk(value, kind, f"{where}.{key}")
+        elif isinstance(kind, dict):
+            _variant(kind, key, block, where)
+        else:
+            kind(value, key)
+
+
+def _variant(table, key, block, where):
+    """The entry of ``table`` that ``block[key]`` names, bound to the keys
+    it reads from ``block``: call it with the leading arguments to build."""
+    name = block[key]
+    if not isinstance(name, str) or name not in table:
+        raise SchemaError(f"{where}: {key!r} is {name!r}, not one of {list(table)}")
+    build, required, optional = table[name]
+    missing = [k for k in required if k not in block]
+    if missing:
+        raise SchemaError(f"{where} ({name}): missing keys {missing}")
+    args = [block[k] for k in required]
+    kwargs = {arg: block[k] for k, arg in optional.items() if k in block}
+    return lambda *lead, **extra: build(*lead, *args, **kwargs, **extra)
+
+
+def parse_function(block, where="function"):
+    _walk(block, "function", where)
+    fn = _variant(_FAMILIES, "family", block, where)()
+    if "transform" in block:
+        fn = functions.Transformed(fn, **block["transform"])
+    return fn
 
 
 def parse_timescale(block, where="timescale"):
-    _check_keys(block, ["kind"], _SCALE_KEYS, where)
-    kind = block["kind"]
-    if not isinstance(kind, str) or kind not in _SCALE_KINDS:
-        raise SchemaError(f"{where}: unknown kind {kind!r}")
-    build, required, optional = _SCALE_KINDS[kind]
-    _check_keys(block, ["kind", *required], _SCALE_KEYS, f"{where} ({kind})")
-    return build(*(block[k] for k in required),
-                 **{arg: block[k] for k, arg in optional.items() if k in block})
+    _walk(block, "timescale", where)
+    return _variant(_SCALES, "kind", block, where)()
 
 
 def parse_problem_file(raw):
-    _check_keys(raw, ["schema_version", "timescale", "problem"], ["oracle"])
-    if raw["schema_version"] != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {raw['schema_version']!r}")
-    ts = parse_timescale(raw["timescale"])
+    _walk(raw, "problem file", "file")
     pb = raw["problem"]
-    _check_keys(pb, ["kind", "B", "phi"], ["alpha"], "problem")
     problem = solvers.VariationalProblem(
         kind=pb["kind"],
-        ts=ts,
+        ts=_variant(_SCALES, "kind", raw["timescale"], "timescale")(),
         B=float(pb["B"]),
-        phi=parse_function(pb["phi"], "problem.phi"),
+        phi=parse_function(pb["phi"]),
         alpha=float(pb["alpha"]) if "alpha" in pb else None,
     )
-    oracle = raw.get("oracle")
-    if oracle is not None:
-        _check_keys(oracle, ["mode"], ["resolution", "samples", "seed", "eps"],
-                    "oracle")
-    return problem, oracle
+    return problem, raw.get("oracle")
 
 
 def parse_check_file(raw):
-    _check_keys(raw, ["schema_version", "timescale", "check"])
-    if raw["schema_version"] != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {raw['schema_version']!r}")
-    ts = parse_timescale(raw["timescale"])
-    ck = raw["check"]
-    _check_keys(ck, ["kind", "f"], ["h", "F", "alpha", "phi", "psi"], "check")
-    f = timescale.GridFunction(ts, ck["f"])
-    kind = ck["kind"]
-    if kind == "weighted_jensen":
-        if "h" not in ck or "F" not in ck:
-            raise SchemaError("weighted_jensen needs h and F")
-        h = timescale.GridFunction(ts, ck["h"])
-        return lambda: jensen.weighted_jensen_gap(ts, f, h,
-                                                  parse_function(ck["F"], "check.F"))
-    if kind == "jensen":
-        if "F" not in ck:
-            raise SchemaError("jensen needs F")
-        return lambda: jensen.jensen_gap(ts, f, parse_function(ck["F"], "check.F"))
-    if kind in ("power", "reciprocal_power", "exp", "log", "xlogx"):
-        alpha = ck.get("alpha")
-        return lambda: jensen.special_case_gap(kind, ts, f, alpha=alpha)
-    if kind == "quasi_arithmetic":
-        if "phi" not in ck or "psi" not in ck:
-            raise SchemaError("quasi_arithmetic needs phi and psi")
-        return lambda: jensen.quasi_arithmetic_gap(
-            ts, f,
-            parse_function(ck["phi"], "check.phi"),
-            parse_function(ck["psi"], "check.psi"))
-    raise SchemaError(f"check: unknown kind {kind!r}")
-
-
-#: the keys whose values are strings; every other leaf of an input file
-#: must be a finite number, so NaN, Infinity, a bool, a string or null there
-#: is a schema error, never coerced
-_STRING_KEYS = {"schema_version", "kind", "family", "mode"}
-
-#: the keys whose values are counts, exponents or seeds: a JSON integer
-#: there, never a float such as 2.5 or 2.0, which would be truncated
-_INT_KEYS = {"n", "m", "nodes", "quad_nodes", "samples", "seed"}
-
-#: the keys whose values are objects, walked key by key; "file" is the root
-_OBJECT_KEYS = {"file", "timescale", "problem", "phi", "oracle", "check", "F",
-                "psi", "transform"}
-
-#: the keys whose values are flat arrays of numbers; "intervals" holds
-#: [lo, hi] pairs of numbers, and every other key one number
-_ARRAY_KEYS = {"atoms", "f", "h", "coefficients"}
-
-
-def _check_leaves(value, key):
-    if key in _OBJECT_KEYS:
-        if not isinstance(value, dict):
-            raise SchemaError(f"{key!r} must be an object, got {value!r}")
-        for k, v in value.items():
-            _check_leaves(v, k)
-    elif key in _STRING_KEYS:
-        if not isinstance(value, str):
-            raise SchemaError(f"{key!r} must be a string, got {value!r}")
-    elif key == "intervals":
-        if not isinstance(value, list) or not all(
-                isinstance(pair, list) and len(pair) == 2 for pair in value):
-            raise SchemaError(f"'intervals' must be an array of [lo, hi] "
-                              f"pairs, got {value!r}")
-        for i, pair in enumerate(value):
-            for j, v in enumerate(pair):
-                _check_number(v, key, (i, j))
-    elif key in _ARRAY_KEYS:
-        if not isinstance(value, list):
-            raise SchemaError(f"{key!r} must be an array of numbers, "
-                              f"got {value!r}")
-        for i, v in enumerate(value):
-            _check_number(v, key, (i,))
-    else:
-        _check_number(value, key)
-
-
-def _check_number(value, key, index=()):
-    types, what = (((int,), "an integer") if key in _INT_KEYS
-                   else ((int, float), "a finite number"))
-    # false for NaN, for infinities and for ints beyond the float range
-    if type(value) not in types or not abs(value) <= sys.float_info.max:
-        name = key + "".join(f"[{i}]" for i in index)
-        raise SchemaError(f"{name!r} must be {what}, got {value!r}")
+    _walk(raw, "check file", "file")
+    ts = _variant(_SCALES, "kind", raw["timescale"], "timescale")()
+    f = timescale.GridFunction(ts, raw["check"]["f"])
+    return lambda: _variant(_CHECKS, "kind", raw["check"], "check")(ts, f)
 
 
 def _load_json(path):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    _check_leaves(raw, "file")
-    return raw
 
 
 # -- output ---------------------------------------------------------------
@@ -255,13 +252,25 @@ def write_trajectory_csv(path, ts, traj):
 
 
 def read_trajectory_csv(path, ts):
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
+    """The ``y`` column of a trajectory CSV: a finite number in each row,
+    one row per point of ``ts``, rows counted from 1 after the header."""
+    try:
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
     if len(rows) != len(ts.points):
-        raise SchemaError(
-            f"{path}: {len(rows)} rows but the time scale has "
-            f"{len(ts.points)} points")
-    return timescale.GridFunction(ts, [float(r["y"]) for r in rows])
+        raise SchemaError(f"{path}: {len(rows)} rows but the time scale has "
+                          f"{len(ts.points)} points")
+    if "y" not in rows[0]:  # there are rows: a time scale has two points
+        raise SchemaError(f"{path}: no 'y' column")
+    for i, row in enumerate(rows, start=1):
+        try:
+            row["y"] = float(row["y"])
+        except (TypeError, ValueError):  # not a number, or None in a short row
+            pass
+        _number(row["y"], f"{path}, row {i}, y")
+    return timescale.GridFunction(ts, [row["y"] for row in rows])
 
 
 # -- subcommands ----------------------------------------------------------
@@ -272,9 +281,6 @@ def cmd_solve(args):
     problem, _ = parse_problem_file(raw)
     sol = solvers.solve(problem)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    traj_path = out_dir / "trajectory.csv"
-    write_trajectory_csv(traj_path, problem.ts, sol.trajectory)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "problem": raw["problem"],
@@ -282,19 +288,23 @@ def cmd_solve(args):
         "C": sol.C,
         "optimal_value": sol.optimal_value,
         "extremum": sol.extremum,
-        "trajectory_file": traj_path.name,
+        "trajectory_file": "trajectory.csv",
     }
-    with open(out_dir / "solution.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_trajectory_csv(out_dir / "trajectory.csv", problem.ts, sol.trajectory)
+        with open(out_dir / "solution.json", "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {out_dir}: {exc}") from exc
     print(json.dumps({"C": sol.C, "optimal_value": sol.optimal_value,
                       "extremum": sol.extremum}, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_check(args):
-    run = parse_check_file(_load_json(args.file))
-    report = run()
+    report = parse_check_file(_load_json(args.file))()
     print(json.dumps(report.to_dict(), sort_keys=True))
     if not report.holds:
         _fail("violated", f"inequality violated with gap {report.gap}")
@@ -310,6 +320,9 @@ def cmd_verify(args):
     if args.file is None:
         raise SchemaError("verify needs a problem file (or --wsc)")
     problem, oracle = parse_problem_file(_load_json(args.file))
+    if args.corrupt is not None and (args.candidate is not None or
+                                     (oracle or {}).get("mode") != "perturbation"):
+        raise SchemaError("--corrupt needs a perturbation oracle and no --candidate")
 
     if args.candidate is not None:
         # debug path: re-evaluate an externally supplied trajectory
@@ -325,35 +338,20 @@ def cmd_verify(args):
 
     if oracle is None:
         raise SchemaError("problem file has no oracle block")
-    mode = oracle["mode"]
-    if mode == "exhaustive":
-        if "resolution" not in oracle:
-            raise SchemaError("exhaustive oracle needs a resolution")
-        report = validation.exhaustive_verify(problem, float(oracle["resolution"]))
-    elif mode == "random":
-        if "samples" not in oracle:
-            raise SchemaError("random oracle needs samples")
-        report = validation.random_verify(problem, oracle["samples"],
-                                          oracle.get("seed", 0))
-    elif mode == "perturbation":
-        if "eps" not in oracle:
-            raise SchemaError("perturbation oracle needs eps")
-        traj = None
-        if args.corrupt is not None:
-            vals = solvers.solve(problem).trajectory.values.copy()
-            try:
-                idx, delta = args.corrupt.split(":")
-                vals[int(idx)] += float(delta)
-            except (ValueError, IndexError):
-                raise SchemaError(
-                    f"--corrupt wants INDEX:DELTA, an index of one of the "
-                    f"{len(vals)} points and a number; got {args.corrupt!r}"
-                ) from None
-            traj = timescale.GridFunction(problem.ts, vals)
-        report = validation.perturbation_verify(problem, float(oracle["eps"]),
-                                                trajectory=traj)
-    else:
-        raise SchemaError(f"oracle: unknown mode {mode!r}")
+    run = _variant(_ORACLES, "mode", oracle, "oracle")
+    corrupted = {}
+    if args.corrupt is not None:
+        vals = solvers.solve(problem).trajectory.values.copy()
+        try:
+            idx, delta = args.corrupt.split(":")
+            vals[int(idx)] += float(delta)
+        except (ValueError, IndexError):
+            raise SchemaError(
+                f"--corrupt wants INDEX:DELTA, an index of one of the "
+                f"{len(vals)} points and a number; got {args.corrupt!r}"
+            ) from None
+        corrupted["trajectory"] = timescale.GridFunction(problem.ts, vals)
+    report = run(problem, **corrupted)
     print(json.dumps(report.to_dict(), sort_keys=True))
     if not report.certified:
         _fail("refuted", "oracle refuted the closed-form optimum")

@@ -258,6 +258,81 @@ class TestSolve:
         code, _, _ = run_cli(["solve", f, "-o", str(tmp_path / "out")], capsys)
         assert code == 0
 
+    def test_schema_fault_before_construction(self, tmp_path, capsys):
+        # n = 0 fails to build the scale (exit 3), but the whole file is
+        # checked first, so the missing B is what is reported
+        bad = json.loads(json.dumps(WORKED_PROBLEM))
+        bad["timescale"]["n"] = 0
+        del bad["problem"]["B"]
+        f = write_json(tmp_path / "p.json", bad)
+        code, out, err = run_cli(["solve", f, "-o", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error[parse]") and "'B'" in err
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_unwritable_out_dir_exit_2(self, tmp_path, capsys, sub):
+        # -o names a regular file, or a directory below one
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        f = write_json(tmp_path / "p.json", WORKED_PROBLEM)
+        code, out, err = run_cli(["solve", f, "-o", str(taken / sub)], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error[parse]: cannot write")
+
+
+#: a problem file holding every block of the schema, and the path to each
+#: block in it or in WEIGHTED_CHECK
+_FULL_PROBLEM = dict(
+    WORKED_PROBLEM,
+    problem=dict(WORKED_PROBLEM["problem"],
+                 phi=dict(WORKED_PROBLEM["problem"]["phi"],
+                          transform={"in_scale": 1})),
+    oracle={"mode": "random", "samples": 5, "seed": 0})
+_BLOCKS = {
+    "problem file": ("verify", _FULL_PROBLEM, ()),
+    "timescale": ("verify", _FULL_PROBLEM, ("timescale",)),
+    "problem": ("verify", _FULL_PROBLEM, ("problem",)),
+    "function": ("verify", _FULL_PROBLEM, ("problem", "phi")),
+    "transform": ("verify", _FULL_PROBLEM, ("problem", "phi", "transform")),
+    "oracle": ("verify", _FULL_PROBLEM, ("oracle",)),
+    "check file": ("check", WEIGHTED_CHECK, ()),
+    "check": ("check", WEIGHTED_CHECK, ("check",)),
+}
+
+#: a value of the wrong type for each leaf kind; a key whose value names a
+#: variant table entry gets the number 7
+_WRONG = {cli._number: "25", cli._integer: 2.5, cli._string: 7,
+          cli._numbers: 5, cli._pairs: [0, 5]}
+
+#: (block, key, leaf kind) for every key of the schema that holds no block
+_LEAVES = [(block, key, kind)
+           for block, (required, optional) in cli._SCHEMA.items()
+           for key, kind in {**required, **optional}.items()
+           if not isinstance(kind, str)]
+
+
+@pytest.mark.parametrize("block,key,kind", _LEAVES,
+                         ids=[f"{b}.{k}" for b, k, _ in _LEAVES])
+def test_every_leaf_key_rejects_a_wrong_type(tmp_path, capsys, block, key, kind):
+    command, base, path = _BLOCKS[block]
+    doc = json.loads(json.dumps(base))
+    _at(doc, path)[key] = 7 if isinstance(kind, dict) else _WRONG[kind]
+    f = write_json(tmp_path / "p.json", doc)
+    code, out, err = run_cli([command, f], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error[parse]")
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize("block,table", [
+    ("timescale", cli._SCALES), ("function", cli._FAMILIES),
+    ("check", cli._CHECKS), ("oracle", cli._ORACLES)])
+def test_variant_keys_are_in_the_schema(block, table):
+    # a key a variant reads is one its block accepts, with a leaf kind
+    required, optional = cli._SCHEMA[block]
+    for _, needs, reads in table.values():
+        assert {*needs, *reads} <= required.keys() | optional.keys()
+
 
 class TestCheck:
     def test_weighted_jensen(self, tmp_path, capsys):
@@ -409,6 +484,45 @@ class TestVerify:
         code, _, _ = run_cli(["verify", f], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("header,cell,names", [
+        ("t,z", "9", "'y' column"),
+        ("t,y", "abc", "row 2"),
+        ("t,y", "nan", "row 2"),
+        ("t,y", "-inf", "row 2"),
+        ("t,y", None, "row 2"),  # a short row
+    ])
+    def test_bad_candidate_exit_2(self, tmp_path, capsys, header, cell, names):
+        rows = [[0, 0], [1, cell], [2, 16], [3, 21], [4, 24], [5, 25]]
+        csv_path = tmp_path / "c.csv"
+        csv_path.write_text("\n".join([header] + [
+            ",".join(str(v) for v in row if v is not None) for row in rows]) + "\n")
+        f = write_json(tmp_path / "p.json", WORKED_PROBLEM)
+        code, out, err = run_cli(["verify", f, "--candidate", str(csv_path)], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error[parse]")
+        assert str(csv_path) in err and names in err
+
+    def test_missing_candidate_exit_2(self, tmp_path, capsys):
+        f = write_json(tmp_path / "p.json", WORKED_PROBLEM)
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run_cli(["verify", f, "--candidate", missing], capsys)
+        assert code == 2
+        assert out == "" and err.startswith(f"error[parse]: cannot read {missing}")
+
+    @pytest.mark.parametrize("oracle,extra", [
+        ({"mode": "exhaustive", "resolution": 1}, []),
+        ({"mode": "random", "samples": 5}, []),
+        ({"mode": "perturbation", "eps": 0.5}, ["--candidate", "t.csv"]),
+        (None, []),
+    ])
+    def test_corrupt_needs_a_perturbation_oracle(self, tmp_path, capsys,
+                                                 oracle, extra):
+        payload = dict(WORKED_PROBLEM, **({"oracle": oracle} if oracle else {}))
+        f = write_json(tmp_path / "p.json", payload)
+        code, out, err = run_cli(["verify", f, "--corrupt", "2:1"] + extra, capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error[parse]: --corrupt needs")
+
 
 #: every library error other than the two with their own handler
 _OTHER_ERRORS = [c for c in vars(errors).values()
@@ -469,6 +583,16 @@ _JSON_VALUES = (_SCALARS | st.lists(_SCALARS, max_size=4)
                 | st.lists(st.lists(_SCALARS, max_size=3), max_size=3))
 
 
+#: keys inserted by the fuzz: unknown everywhere, or known in other blocks
+_INSERTED_KEYS = ["extra", "", "Kind", "nodes", "phi", "mode", "h"]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def _paths(node, path=()):
     """Path of every value below the root of a JSON document."""
     items = (node.items() if isinstance(node, dict)
@@ -482,15 +606,27 @@ def _paths(node, path=()):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_fuzzed_files_exit_inside_contract(tmp_path, capsys, data):
-    # every input ends in a documented exit code, with strict JSON on stdout
+    # every input ends in a documented exit code, with strict JSON on stdout;
+    # each step replaces or deletes a value, or inserts a key in an object
     command, base = data.draw(st.sampled_from(_FUZZ_BASES))
     doc = json.loads(json.dumps(base))
     for _ in range(data.draw(st.integers(1, 3))):
-        *head, last = data.draw(st.sampled_from(list(_paths(doc))))
-        block = doc
-        for key in head:
-            block = block[key]
-        block[last] = data.draw(_JSON_VALUES)
+        step = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        if step == "insert":
+            objects = [()] + [p for p in _paths(doc)
+                              if isinstance(_at(doc, p), dict)]
+            block = _at(doc, data.draw(st.sampled_from(objects)))
+            block[data.draw(st.sampled_from(_INSERTED_KEYS))] = data.draw(
+                _JSON_VALUES)
+            continue
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *head, last = data.draw(st.sampled_from(paths))
+        if step == "replace":
+            _at(doc, head)[last] = data.draw(_JSON_VALUES)
+        else:
+            del _at(doc, head)[last]
     f = write_json(tmp_path / "fuzz.json", doc)
     argv = [command, f] + (["-o", str(tmp_path / "out")]
                            if command == "solve" else [])

@@ -208,6 +208,33 @@ class TestDeltaIntegral:
             ts.delta_integral(f, 0, 1.5)
 
 
+class TestConvergenceOrder:
+    """Interval quadrature and differentiation are fourth order: the max
+    error falls ~16x per doubling of the nodes (observed order ~4.0)."""
+
+    @staticmethod
+    def _orders(error):
+        errs = []
+        for nodes in (65, 129, 257):
+            ts = real_interval(0, 2, nodes)
+            errs.append(error(ts, ts.points))
+        return [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+
+    def test_cumulative_integral_order(self):
+        # f = sin 3x + e^x, whose running integral from 0 is known
+        def error(ts, x):
+            got = ts.cumulative_delta_integral(np.sin(3 * x) + np.exp(x))
+            exact = (1 - np.cos(3 * x)) / 3 + np.exp(x) - 1
+            return np.max(np.abs(got - exact))
+        assert min(self._orders(error)) >= 3.5
+
+    def test_derivative_order(self):
+        def error(ts, x):
+            got = ts.delta_derivative_grid(np.sin(3 * x) + np.exp(x))
+            return np.max(np.abs(got - (3 * np.cos(3 * x) + np.exp(x))))
+        assert min(self._orders(error)) >= 3.5
+
+
 class TestDeltaDerivative:
     def test_square_on_integers(self):
         ts = uniform(0, 5, 5)
