@@ -37,6 +37,7 @@ from .jensen import (
 from .solvers import (
     Solution,
     VariationalProblem,
+    admissible,
     evaluate_functional,
     solve,
     solve_exp_derivative,

@@ -233,9 +233,11 @@ def parse_check_file(raw):
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and bytes that are not UTF-8;
+        # RecursionError, arrays nested deeper than the decoder recurses
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 

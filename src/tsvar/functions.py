@@ -40,13 +40,19 @@ class ScalarFunction:
         """Closed-form inverse where one exists; subclasses override."""
         raise NotImplementedError(f"{type(self).__name__} has no closed-form inverse")
 
-    def check_domain(self, x):
+    def outside_domain(self, x):
+        """Elementwise: x lies outside the open domain (NaN does not)."""
         lo, hi = self.domain
         xa = np.asarray(x, dtype=float)
-        if np.any(xa <= lo) or np.any(xa >= hi):
-            raise DomainError(
-                f"argument outside open domain ({lo}, {hi}) of {self!r}"
-            )
+        return (xa <= lo) | (xa >= hi)
+
+    def domain_error(self):
+        lo, hi = self.domain
+        return DomainError(f"argument outside open domain ({lo}, {hi}) of {self!r}")
+
+    def check_domain(self, x):
+        if np.any(self.outside_domain(x)):
+            raise self.domain_error()
 
 
 class Constant(ScalarFunction):

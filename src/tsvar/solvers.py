@@ -24,7 +24,8 @@ from .errors import (
 )
 from .functions import ScalarFunction
 from .roots import invert_increasing
-from .timescale import GridFunction, TimeScale, averaged_chain_factor
+from .timescale import (GridFunction, TimeScale, averaged_chain_factor,
+                        averaging_segment)
 
 #: |y(b) - B| tolerance for boundary admissibility
 BOUNDARY_TOL = 1e-9
@@ -66,7 +67,10 @@ class Solution:
 
 def weight_antiderivative(phi):
     """G(x) = integral of phi from 0 to x, via the exact antiderivative."""
-    base = float(phi.antideriv(0.0))
+    # a weight undefined at 0 (log, x ln x) makes G NaN without a warning;
+    # the solver's positivity probe of phi on [0, B] rejects it
+    with np.errstate(all="ignore"):
+        base = float(phi.antideriv(0.0))
 
     def G(x):
         return phi.antideriv(x) - base
@@ -194,29 +198,35 @@ def solve_xlogx_shifted(p: VariationalProblem) -> Solution:
                             increasing=True)
 
 
+def _not_increasing(ts, d):
+    """Where the delta derivatives d, of shape (..., n), are not strictly
+    positive on [a, b]^kappa: a mask of shape (..., kappa points)."""
+    return d[..., :len(ts.kappa_indices())] <= POSITIVITY_TOL
+
+
+def _increase_error(ts, flat):
+    """AdmissibilityError at the first kappa-point flagged in some row of
+    the mask flat."""
+    t_bad = float(ts.points[np.flatnonzero(
+        flat.reshape(-1, flat.shape[-1]).any(axis=0))[0]])
+    return AdmissibilityError(
+        f"delta derivative not strictly positive at t = {t_bad}",
+        point=t_bad, condition="y_delta > 0")
+
+
 def _require_increasing(ts, d):
-    """AdmissibilityError at the first kappa-point where a row of the delta
-    derivatives d, of shape (..., n), is not strictly positive."""
-    dk = d[..., :len(ts.kappa_indices())]
-    viol = np.flatnonzero(
-        np.any(dk.reshape(-1, dk.shape[-1]) <= POSITIVITY_TOL, axis=0))
-    if len(viol):
-        t_bad = float(ts.points[viol[0]])
-        raise AdmissibilityError(
-            f"delta derivative not strictly positive at t = {t_bad}",
-            point=t_bad, condition="y_delta > 0")
+    flat = _not_increasing(ts, d)
+    if flat.any():
+        raise _increase_error(ts, flat)
 
 
-def _require_shift_positive(ts, s):
-    """AdmissibilityError at the worst kappa-point when some row of the
-    shifted derivatives s = phi + y^Delta, of shape (..., n), is not
-    positive."""
-    if np.any(s <= 0.0):
-        worst = np.argmin(s.reshape(-1, s.shape[-1]).min(axis=0))
-        t_bad = float(ts.points[worst])
-        raise AdmissibilityError(
-            f"phi + y_delta must be positive; fails at t = {t_bad}",
-            point=t_bad, condition="phi + y_delta > 0")
+def _shift_error(ts, s):
+    """AdmissibilityError at the kappa-point where the shifted derivatives
+    s = phi + y^Delta, of shape (k, kappa points), are least."""
+    t_bad = float(ts.points[np.argmin(s.min(axis=0))])
+    return AdmissibilityError(
+        f"phi + y_delta must be positive; fails at t = {t_bad}",
+        point=t_bad, condition="phi + y_delta > 0")
 
 
 def gap_integrand(p: VariationalProblem, y, d, mu, phi):
@@ -235,40 +245,105 @@ def gap_integrand(p: VariationalProblem, y, d, mu, phi):
     return out
 
 
+def _admissibility(p: VariationalProblem, Y, d):
+    """Walk the conditions of :func:`admissible` over the rows of Y, of
+    shape (k, n), whose delta derivatives are d, in the order listed there,
+    which is the order evaluate_functional reports them in.
+
+    Each condition sees only the rows that passed the ones before, so phi
+    is never evaluated outside its domain.  Returns (rows, error,
+    integrand): the indices of the admissible rows; the error of the first
+    condition some row fails, located over the rows that reached it, or
+    None; and the integrand on [a, b]^kappa of the rows that reached the
+    finiteness check, which are all k rows when error is None.  Call under
+    np.errstate: rows that overflow are rejected, not warned about.
+    """
+    ts = p.ts
+    kap = slice(len(ts.kappa_indices()))
+    mu = ts._mu[kap]
+    rows, error = np.arange(len(Y)), None
+
+    def drop(bad, fault):
+        # bad flags the current rows that fail; fault() is the failure's error
+        nonlocal rows, error, Y, d
+        if bad.any():
+            if error is None:
+                error = fault()
+            rows, Y, d = rows[~bad], Y[~bad], d[~bad]
+
+    drop(np.abs(Y[:, 0]) > POSITIVITY_TOL,
+         lambda: AdmissibilityError("y(a) must be 0", point=ts.a,
+                                    condition="y(a) = 0"))
+    yb = Y[:, -1]
+    off = np.abs(yb - p.B) > BOUNDARY_TOL
+    drop(off, lambda: AdmissibilityError(
+        f"y(b) = {float(yb[off][0])} differs from B = {p.B}",
+        point=ts.b, condition="y(b) = B"))
+    if p.kind != "exp_derivative":
+        flat = _not_increasing(ts, d)
+        drop(flat.any(axis=1), lambda: _increase_error(ts, flat))
+    phi = None if p.kind == "power_weighted" else _phi_on_kappa(p)
+    if p.kind == "xlogx_shifted":
+        s = phi + d[:, kap]
+        drop((s <= 0.0).any(axis=1), lambda: _shift_error(ts, s))
+    if p.kind == "power_weighted":
+        drop(p.phi.outside_domain(Y[:, kap]).any(axis=1), p.phi.domain_error)
+        z = averaging_segment(Y[:, kap], mu, d[:, kap])[3]
+        drop(p.phi.outside_domain(z).any(axis=1), p.phi.domain_error)
+    integrand = gap_integrand(p, Y[:, kap], d[:, kap], mu, phi)
+    drop(~np.isfinite(integrand).all(axis=1),
+         lambda: DomainError("the functional's integrand is not finite"))
+    drop(~np.isfinite(Y).all(axis=1),
+         lambda: DomainError("grid values must be finite"))
+    return rows, error, integrand
+
+
+def admissible(p: VariationalProblem, y):
+    """Which candidate trajectories evaluate_functional accepts, without
+    raising: one bool for a GridFunction or an (n,) array, or a boolean
+    row mask for an array of shape (k, n).  A row is admissible when
+    y(a) = 0, |y(b) - B| <= BOUNDARY_TOL, y strictly increases
+    (power-weighted and x*ln(x) classes), phi + y^Delta > 0 (x*ln(x)
+    class), phi is defined at both ends of each averaging segment
+    (power-weighted class), the integrand is finite and so are the
+    values."""
+    yvals = y.values if isinstance(y, GridFunction) else np.asarray(y, dtype=float)
+    Y = yvals.reshape(-1, yvals.shape[-1])
+    with np.errstate(all="ignore"):
+        d = p.ts.delta_derivative_grid(y)
+        rows = _admissibility(p, Y, d.reshape(Y.shape))[0]
+    ok = np.zeros(len(Y), dtype=bool)
+    ok[rows] = True
+    return bool(ok[0]) if yvals.ndim == 1 else ok.reshape(yvals.shape[:-1])
+
+
 def evaluate_functional(p: VariationalProblem, y, check_admissible: bool = True):
     """Value of the problem's functional at candidate trajectories.
 
     ``y`` is a GridFunction, giving a float, or an array of shape (k, n)
     holding k trajectories on the n grid points, giving k values from one
-    vectorised pass.  Unless ``check_admissible`` is false, admissibility
-    (boundary values, strictly increasing trajectory where the problem class
-    demands it, positive shifted derivative for the x*ln(x) class, a finite
-    integrand) is checked first for every row, and violations are reported
-    with the offending point.
+    vectorised pass.  Unless ``check_admissible`` is false, every row must
+    be admissible (see :func:`admissible`): the first condition that some
+    row fails raises, AdmissibilityError for the boundary values, strict
+    increase and positive shifted derivative, with the offending point,
+    and DomainError for phi's domain and a non-finite integrand or value.
+    Without the check, a row whose integrand overflows gets an infinite or
+    NaN value; no numpy warning is emitted either way.
     """
     ts = p.ts
     yvals = y.values if isinstance(y, GridFunction) else np.asarray(y, dtype=float)
-    d = ts.delta_derivative_grid(y)
     kap = slice(len(ts.kappa_indices()))
-    dk = d[..., kap]
-    if check_admissible:
-        if np.any(np.abs(yvals[..., 0]) > POSITIVITY_TOL):
-            raise AdmissibilityError("y(a) must be 0", point=ts.a,
-                                     condition="y(a) = 0")
-        off = np.abs(yvals[..., -1] - p.B) > BOUNDARY_TOL
-        if np.any(off):
-            raise AdmissibilityError(
-                f"y(b) = {float(np.extract(off, yvals[..., -1])[0])} "
-                f"differs from B = {p.B}",
-                point=ts.b, condition="y(b) = B")
-        if p.kind in ("power_weighted", "xlogx_shifted"):
-            _require_increasing(ts, d)
-
-    phi = None if p.kind == "power_weighted" else _phi_on_kappa(p)
-    if check_admissible and p.kind == "xlogx_shifted":
-        _require_shift_positive(ts, phi + dk)
     integrand = np.zeros_like(yvals)
-    integrand[..., kap] = gap_integrand(p, yvals[..., kap], dk, ts._mu[kap], phi)
-    if check_admissible and not np.all(np.isfinite(integrand)):
-        raise DomainError("the functional's integrand is not finite")
+    with np.errstate(all="ignore"):
+        d = ts.delta_derivative_grid(y)
+        if check_admissible:
+            Y = yvals.reshape(-1, yvals.shape[-1])
+            _, error, terms = _admissibility(p, Y, d.reshape(Y.shape))
+            if error is not None:
+                raise error
+            integrand[..., kap] = terms.reshape(integrand[..., kap].shape)
+        else:
+            phi = None if p.kind == "power_weighted" else _phi_on_kappa(p)
+            integrand[..., kap] = gap_integrand(p, yvals[..., kap], d[..., kap],
+                                                ts._mu[kap], phi)
     return ts.delta_integral(integrand)

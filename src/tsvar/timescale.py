@@ -414,6 +414,16 @@ _EDGE1_W = np.array([-1.0 / 5.0, -13.0 / 12.0, 2.0, -1.0, 1.0 / 3.0, -1.0 / 20.0
 # -- averaged chain-rule factor -------------------------------------------
 
 
+def averaging_segment(y_t, mu_t, ydelta_t):
+    """(y, s, jump, z): the segment [y, z] that averaged_chain_factor
+    averages over, s = mu * ydelta, and where it jumps (|s| >= 1e-12;
+    elsewhere z = y), on broadcast arrays."""
+    y, s = np.broadcast_arrays(np.asarray(y_t, dtype=float),
+                               np.asarray(mu_t, dtype=float) * ydelta_t)
+    jump = np.abs(s) >= 1e-12
+    return y, s, jump, np.where(jump, y + s, y)
+
+
 def averaged_chain_factor(gprime, y_t, mu_t, ydelta_t):
     """Average of gprime over the segment [y, y + mu * ydelta].
 
@@ -422,10 +432,7 @@ def averaged_chain_factor(gprime, y_t, mu_t, ydelta_t):
     the delta derivative it reproduces the chain rule for (A o y)^Delta.
     Works elementwise on broadcast arrays; scalar inputs give a float.
     """
-    y, s = np.broadcast_arrays(np.asarray(y_t, dtype=float),
-                               np.asarray(mu_t, dtype=float) * ydelta_t)
-    jump = np.abs(s) >= 1e-12
-    z = np.where(jump, y + s, y)          # far end of each averaging segment
+    y, s, jump, z = averaging_segment(y_t, mu_t, ydelta_t)
     gprime.check_domain(y)
     gprime.check_domain(z)
     out = np.array(gprime(y), dtype=float)

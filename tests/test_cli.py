@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -140,6 +141,16 @@ class TestSolve:
                                capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"[" * 100000],
+                             ids=["not_utf8", "nested_too_deep"])
+    def test_unreadable_json_exit_2(self, tmp_path, capsys, payload):
+        f = tmp_path / "p.json"
+        f.write_bytes(payload)
+        code, out, err = run_cli(["solve", str(f), "-o", str(tmp_path / "out")],
+                                 capsys)
+        assert code == 2
+        assert out == "" and err.startswith(f"error[parse]: cannot read {f}")
+
 
     @pytest.mark.parametrize("scale,missing", [
         ({"kind": "uniform", "a": 0, "b": 5}, "n"),
@@ -249,6 +260,21 @@ class TestSolve:
         code, out, err = run_cli(["solve", f, "-o", str(tmp_path / "out")], capsys)
         assert code == 3
         assert out == "" and err.startswith("error[precondition]")
+
+    @pytest.mark.parametrize("family", ["log", "xlogx"])
+    def test_weight_undefined_at_zero_exit_3(self, tmp_path, capsys, family):
+        bad = dict(WORKED_PROBLEM,
+                   timescale={"kind": "uniform", "a": 0, "b": 1, "n": 2},
+                   problem={"kind": "power_weighted", "B": 2, "alpha": 2,
+                            "phi": {"family": family}})
+        f = write_json(tmp_path / "p.json", bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["solve", f, "-o", str(tmp_path / "out")],
+                                     capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "error[precondition]: phi must be positive on [0, B]\n"
 
     def test_extra_scale_key_still_accepted(self, tmp_path, capsys):
         ok = dict(WORKED_PROBLEM,

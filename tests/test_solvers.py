@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +14,14 @@ from tsvar import (
     Exp,
     FeasibilityError,
     GridFunction,
+    Log,
     Polynomial,
     PreconditionError,
     Solution,
+    Transformed,
     VariationalProblem,
+    XLogX,
+    admissible,
     custom,
     evaluate_functional,
     real_interval,
@@ -240,6 +245,17 @@ class TestDegenerateAndOverflow:
             solve(p)
 
 
+    @pytest.mark.parametrize("phi", [Log(), XLogX()])
+    def test_weight_undefined_at_zero(self, phi):
+        # the antiderivative at 0 is log(0): the probe of phi rejects the
+        # weight, and no warning leaks from G
+        p = VariationalProblem("power_weighted", uniform(0, 1, 2), 2.0, phi,
+                               alpha=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"phi must be positive on \[0, B\]"):
+                solve(p)
+
 class TestEvaluateFunctional:
     def test_worked_optimal_trajectory(self):
         p = worked_problem()
@@ -370,3 +386,114 @@ class TestInvertIncreasing:
             invert_increasing(lambda x: 1.0 * np.asarray(x), targets, 0.0, 2.0,
                               max_iter=1)
         assert len(str(exc.value)) < 200
+
+
+class TestAdmissible:
+    """The row mask against the errors evaluate_functional raises."""
+
+    @staticmethod
+    def _error(p, y):
+        try:
+            evaluate_functional(p, y)
+        except (AdmissibilityError, DomainError) as exc:
+            return type(exc), str(exc), exc.__dict__.get("point"), \
+                exc.__dict__.get("condition")
+        return None
+
+    # (problem, trajectory on its points, error class, message, point, condition)
+    CONDITIONS = [
+        (worked_problem(), [1, 9, 16, 21, 24, 25], AdmissibilityError,
+         "y(a) must be 0", 0.0, "y(a) = 0"),
+        (worked_problem(), [0, 9, 16, 21, 24, 26], AdmissibilityError,
+         "y(b) = 26.0 differs from B = 25.0", 5.0, "y(b) = B"),
+        (worked_problem(), [0, 9, 8, 21, 24, 25], AdmissibilityError,
+         "delta derivative not strictly positive at t = 1.0", 1.0,
+         "y_delta > 0"),
+        (VariationalProblem("xlogx_shifted", uniform(0, 2, 2), 2.0,
+                            Affine(-2.0, 0.5)),
+         [0, 1, 2], AdmissibilityError,
+         "phi + y_delta must be positive; fails at t = 1.0", 1.0,
+         "phi + y_delta > 0"),
+        # phi = log(x - 1) is undefined at y = 0.5
+        (VariationalProblem("power_weighted", uniform(0, 2, 2), 2.0,
+                            Transformed(Log(), in_shift=-1.0), alpha=2.0),
+         [0, 0.5, 2], DomainError,
+         "argument outside open domain (1.0, inf) of Transformed(Log(), "
+         "in_scale=1.0, in_shift=-1.0, out_scale=1.0, out_shift=0.0)",
+         None, None),
+        # phi = log(10 - x): every y lies in its domain, but the last jump
+        # ends at y(b) = 12
+        (VariationalProblem("power_weighted", uniform(0, 2, 2), 12.0,
+                            Transformed(Log(), in_scale=-1.0, in_shift=10.0),
+                            alpha=2.0),
+         [0, 5, 12], DomainError,
+         "argument outside open domain (-inf, 10.0) of Transformed(Log(), "
+         "in_scale=-1.0, in_shift=10.0, out_scale=1.0, out_shift=0.0)",
+         None, None),
+        (VariationalProblem("exp_derivative", uniform(0, 2, 2), 1000.0,
+                            Constant(1.0)),
+         [0, 1000, 1000], DomainError,
+         "the functional's integrand is not finite", None, None),
+    ]
+
+    @pytest.mark.parametrize("p,y,cls,msg,point,condition", CONDITIONS)
+    def test_each_condition(self, p, y, cls, msg, point, condition):
+        y = np.asarray(y, dtype=float)
+        assert self._error(p, y) == (cls, msg, point, condition)
+        assert admissible(p, y) is False
+        assert admissible(p, GridFunction(p.ts, y)) is False
+        assert admissible(p, np.stack([y, y])).tolist() == [False, False]
+
+    def test_nonfinite_values(self):
+        # with alpha = 0 a NaN gives a finite integrand; the mask still
+        # rejects it, and the evaluator raises
+        p = VariationalProblem("power_weighted", uniform(0, 2, 2), 2.0,
+                               Constant(1.0), alpha=0.0)
+        y = np.array([0.0, np.nan, 2.0])
+        assert admissible(p, y) is False
+        with pytest.raises(DomainError, match="grid values must be finite"):
+            evaluate_functional(p, y)
+        assert evaluate_functional(p, y, check_admissible=False) == 2.0
+
+    def test_first_condition_wins_over_first_row(self):
+        # row 0 is not increasing and row 1 misses y(a): the y(a) check
+        # comes first, whatever the rows' order
+        p = worked_problem()
+        Y = np.array([[0, 9, 8, 21, 24, 25], [1, 9, 16, 21, 24, 25],
+                      [0, 9, 16, 21, 24, 25]], dtype=float)
+        with pytest.raises(AdmissibilityError, match="y\\(a\\) must be 0"):
+            evaluate_functional(p, Y)
+        assert admissible(p, Y).tolist() == [False, False, True]
+
+    def test_point_is_first_failing_column_over_rows(self):
+        p = worked_problem()
+        Y = np.array([[0, 9, 16, 21, 20, 25], [0, 9, 8, 21, 24, 25]],
+                     dtype=float)
+        with pytest.raises(AdmissibilityError) as exc:
+            evaluate_functional(p, Y)
+        assert exc.value.point == 1.0
+
+    @pytest.mark.parametrize("kind,phi,B,alpha", [
+        ("power_weighted", Affine(1.0, 0.5), 2.0, 2.0),
+        ("power_weighted", Transformed(Log(), in_shift=2.0), 3.0, -1.0),
+        ("exp_derivative", Constant(1.0), 2.5, None),
+        ("xlogx_shifted", Affine(0.3, 0.7), 4.0, None),
+    ])
+    def test_mask_is_where_evaluation_succeeds(self, kind, phi, B, alpha):
+        rng = np.random.default_rng(5)
+        ts = custom(atoms=[0.0, 0.5, 1.25, 2.0, 3.0])
+        p = VariationalProblem(kind, ts, B, phi, alpha=alpha)
+        base = solve(p).trajectory.values
+        Y = base + rng.normal(0.0, 0.6, (300, len(base))) * \
+            rng.integers(0, 2, (300, len(base)))
+        Y[rng.random(300) < 0.1, 0] = 0.25
+        Y[:, 1] = np.where(rng.random(300) < 0.05, 1e300, Y[:, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = admissible(p, Y)
+            ok = [self._error(p, row) is None for row in Y]
+        assert mask.tolist() == ok
+        assert 0 < sum(ok) < len(ok)
+        np.testing.assert_array_equal(
+            evaluate_functional(p, Y[mask]),
+            [evaluate_functional(p, GridFunction(ts, row)) for row in Y[mask]])

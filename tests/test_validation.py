@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from tsvar import (
     wsc_counterexample,
 )
 from generators import random_discrete_timescale
+from reference_perturbation import perturbation_verify_per_move
+from tsvar.solvers import KINDS
 import tsvar.validation as validation
 
 
@@ -404,6 +408,189 @@ class TestPerturbation:
         monkeypatch.setattr(validation, "evaluate_functional", broken)
         with pytest.raises(RuntimeError, match="evaluator fault"):
             perturbation_verify(p, eps=1e-3, trajectory=base)
+
+
+
+def _perturbation_cases():
+    """(label, problem, eps, trajectory, pair_samples, seed): a seeded set
+    over the three kinds, scales of 2 and 3 points (no pair moves), eps
+    large enough that only some moves need halvings, and corrupted
+    trajectories."""
+    rng = random.Random(2024)
+    kinds = [("exp_derivative", None), ("xlogx_shifted", None),
+             ("power_weighted", 2.0), ("power_weighted", 0.5),
+             ("power_weighted", -1.0)]
+    cases = []
+    for c in range(30):
+        kind, alpha = kinds[c % len(kinds)]
+        ts = (uniform(0, 2, 1 + c % 2) if c < 5
+              else random_discrete_timescale(rng, min_atoms=4, max_atoms=25))
+        phi = rng.choice([Constant(rng.uniform(0.5, 2)), Affine(0.3, 1.0),
+                          Affine(0.05, 0.5)])
+        B = rng.uniform(1, 20) + (8 * (ts.b - ts.a) * 3 if kind == "xlogx_shifted" else 0)
+        p = VariationalProblem(kind, ts, B, phi, alpha=alpha)
+        y = solve(p).trajectory.values.copy()
+        gaps = np.diff(y)
+        traj, eps = None, 1.5 * float(np.median(gaps))
+        if c % 3 == 2 and len(y) > 2:
+            i = int(np.argmax(np.minimum(gaps[:-1], gaps[1:]))) + 1
+            delta = 0.3 * min(gaps[i - 1], gaps[i]) * rng.choice([1, -1])
+            y[i] += delta
+            traj, eps = GridFunction(ts, y), abs(delta)
+        elif c % 3 == 1:
+            eps = rng.choice([1e-4, 4 * float(gaps.max())])
+        cases.append((f"{c}-{kind}-{len(ts)}", p, eps, traj,
+                      rng.choice([0, 5, 16]), rng.randrange(1000)))
+    return cases
+
+
+def _outcome(oracle, p, eps, traj, pairs, seed):
+    """The report as bytes, or the error's class and message."""
+    try:
+        r = oracle(p, eps, trajectory=traj, pair_samples=pairs, seed=seed)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    ref = r.refuting_candidate
+    return (json.dumps(r.to_dict(), sort_keys=True), r.mode,
+            None if ref is None else ref.values.tobytes())
+
+
+class TestBatchedPerturbation:
+    """The batched oracle against the per-move reference loop."""
+
+    CASES = _perturbation_cases()
+
+    @pytest.mark.parametrize("label,p,eps,traj,pairs,seed", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_matches_per_move_loop(self, label, p, eps, traj, pairs, seed):
+        args = (p, eps, traj, pairs, seed)
+        assert (_outcome(perturbation_verify, *args)
+                == _outcome(perturbation_verify_per_move, *args))
+
+    def test_case_set_covers_its_claims(self):
+        reports = [perturbation_verify(p, eps, trajectory=traj,
+                                       pair_samples=pairs, seed=seed)
+                   for _, p, eps, traj, pairs, seed in self.CASES]
+        assert {r.verdict for r in reports} == {"certified", "refuted"}
+        assert {len(c[1].ts) for c in self.CASES} >= {2, 3}
+        assert {c[1].kind for c in self.CASES} == set(KINDS)
+
+    def test_halves_only_rejected_rows(self, monkeypatch):
+        # eps of 1.5 median gaps breaks monotonicity for some moves only
+        rng = random.Random(7)
+        p = VariationalProblem("xlogx_shifted",
+                               random_discrete_timescale(rng, 12, 12), 200.0,
+                               Constant(1.0))
+        eps = 1.5 * float(np.median(np.diff(solve(p).trajectory.values)))
+        sizes = []
+        real = validation.admissible
+
+        def spy(problem, Y):
+            sizes.append(len(Y))
+            return real(problem, Y)
+
+        monkeypatch.setattr(validation, "admissible", spy)
+        rep = perturbation_verify(p, eps)
+        assert rep.certified
+        assert sizes[0] == rep.candidates_evaluated == 2 * 10 + 16
+        assert 0 < sizes[1] < sizes[0]
+        assert sizes == sorted(sizes, reverse=True)
+        monkeypatch.undo()
+        assert (_outcome(perturbation_verify, p, eps, None, 16, 12345)
+                == _outcome(perturbation_verify_per_move, p, eps, None, 16, 12345))
+
+    def test_blocks_bound_the_rows(self, monkeypatch):
+        # with room for 3 rows of 21 values a block, the report still
+        # matches the reference, and no evaluation sees more than 3 rows
+        monkeypatch.setattr(validation, "_LEVEL_PAIRS", 2 * 3 * 21)
+        seen = []
+        real = validation.evaluate_functional
+
+        def spy(problem, y, check_admissible=True):
+            if not check_admissible:
+                seen.append(np.shape(y))
+            return real(problem, y, check_admissible)
+
+        monkeypatch.setattr(validation, "evaluate_functional", spy)
+        for _, p, eps, traj, pairs, seed in self.CASES[5:]:
+            if len(p.ts) != 21:
+                continue
+            assert (_outcome(perturbation_verify, p, eps, traj, pairs, seed)
+                    == _outcome(perturbation_verify_per_move, p, eps, traj,
+                                pairs, seed))
+        assert seen and max(rows for rows, _ in seen) == 3
+
+    @pytest.mark.parametrize("rows", [100, 2])
+    def test_ties_keep_the_first_move(self, monkeypatch, rows):
+        # moves 3 and 5 tie for the least value, in one block or in two:
+        # the best and the refuting candidate are move 3
+        monkeypatch.setattr(validation, "_LEVEL_PAIRS", 2 * 6 * rows)
+        p = worked_problem()
+        base = solve(p).trajectory
+        real = validation.evaluate_functional
+        blocks = []
+
+        def fake(problem, y, check_admissible=True):
+            if check_admissible:
+                return real(problem, y)
+            start = sum(len(b) for b in blocks)
+            blocks.append(y.copy())
+            rows = np.arange(start, start + len(y))
+            return np.where(np.isin(rows, [3, 5]), 0.0, 1e9)
+
+        monkeypatch.setattr(validation, "evaluate_functional", fake)
+        rep = perturbation_verify(p, eps=0.5, trajectory=base)
+        moved = np.concatenate(blocks)
+        assert rep.best_value_found == 0.0 and rep.verdict == "refuted"
+        np.testing.assert_array_equal(rep.best_candidate.values, moved[3])
+        np.testing.assert_array_equal(rep.refuting_candidate.values, moved[3])
+        assert not np.array_equal(moved[3], moved[5])
+
+    def test_memory_bounded(self):
+        # 2001 atoms make 4014 moves: all at once would be 64 MB
+        p = VariationalProblem("exp_derivative", uniform(0, 10, 2000), 50.0,
+                               Affine(0.1, 1.0))
+        tracemalloc.start()
+        try:
+            rep = perturbation_verify(p, eps=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.candidates_evaluated == 4014 and rep.certified
+        assert peak < 8 * 2 ** 20
+
+    def test_overflowing_eps_certifies_without_warnings(self):
+        # exp(y_delta) overflows for the first shifts of eps = 1e3; those
+        # rows are halved, silently
+        p = VariationalProblem("exp_derivative", uniform(0, 2, 4), 2.0,
+                               Constant(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = perturbation_verify(p, eps=1e3)
+        assert rep.certified
+
+    def test_fortieth_halving_is_the_last(self):
+        # y = (0, 0.5, 1): a shift of the middle value is admissible below
+        # 0.5, so eps = 0.375 * 2**40 passes at the 40th halving and
+        # 0.75 * 2**40 never does
+        p = VariationalProblem("xlogx_shifted", uniform(0, 2, 2), 1.0,
+                               Constant(1.0))
+        args = (p, 0.375 * 2.0 ** 40, None, 16, 12345)
+        assert perturbation_verify(*args[:2]).certified
+        assert (_outcome(perturbation_verify, *args)
+                == _outcome(perturbation_verify_per_move, *args))
+        with pytest.raises(PreconditionError, match="after 40 halvings"):
+            perturbation_verify(p, 0.75 * 2.0 ** 40)
+
+    def test_eps_too_large_after_40_halvings(self):
+        # 1e300 / 2**40 still breaks every move
+        p = VariationalProblem("exp_derivative", uniform(0, 2, 4), 2.0,
+                               Constant(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError,
+                               match="eps destroys admissibility even after 40 halvings"):
+                perturbation_verify(p, eps=1e300)
 
 
 class TestWsc:
