@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, ParameterError, PreconditionError
 from .functions import classify_convexity
 from .roots import invert_increasing
-from .timescale import GridFunction, TimeScale
+from .timescale import GridFunction, TimeScale, pad_kappa
 
 #: absolute tolerance separating genuine equality from quadrature noise
 EQUALITY_TOL = 1e-10
@@ -76,16 +76,10 @@ def _overflow_checked(checker):
     return run
 
 
-def _padded(ts, v):
-    """Values on [a, b]^kappa padded to the whole grid as GridFunction pads
-    them, but kept when not finite, so an overflow reaches the checks."""
-    v = np.asarray(v, dtype=float)
-    return np.append(v, v[-1:])[:len(ts.points)]
-
-
 def _kappa_integral(ts, v):
-    """Delta integral of values given on [a, b]^kappa."""
-    return ts.delta_integral(_padded(ts, v))
+    """Delta integral of values given on [a, b]^kappa, not required to be
+    finite as in a GridFunction, so an overflow reaches the checks."""
+    return ts.delta_integral(pad_kappa(v, len(ts.points)))
 
 
 def _as_grid(ts, f):
@@ -115,7 +109,7 @@ def weighted_jensen_gap(ts: TimeScale, f, h, F) -> InequalityReport:
     F.check_domain(np.array([fmin, fmax]))
     kind, _ = classify_convexity(F, fmin, fmax)
     mean_f = _finite("mean", ts.delta_integral(habs.values * f.values) / w)
-    lhs = ts.delta_integral(habs.values * _padded(ts, F(fk))) / w
+    lhs = _kappa_integral(ts, habs.values[ts.kappa_indices()] * F(fk)) / w
     rhs = float(F(mean_f))
     return InequalityReport.build(lhs, rhs, _direction(kind), fk)
 

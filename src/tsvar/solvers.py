@@ -24,8 +24,8 @@ from .errors import (
 )
 from .functions import ScalarFunction
 from .roots import invert_increasing
-from .timescale import (GridFunction, TimeScale, averaged_chain_factor,
-                        averaging_segment)
+from .timescale import (GridFunction, TimeScale, _grid_values,
+                        averaged_chain_factor, averaging_segment)
 
 #: |y(b) - B| tolerance for boundary admissibility
 BOUNDARY_TOL = 1e-9
@@ -245,22 +245,22 @@ def gap_integrand(p: VariationalProblem, y, d, mu, phi):
     return out
 
 
-def _admissibility(p: VariationalProblem, Y, d):
-    """Walk the conditions of :func:`admissible` over the rows of Y, of
-    shape (k, n), whose delta derivatives are d, in the order listed there,
-    which is the order evaluate_functional reports them in.
-
-    Each condition sees only the rows that passed the ones before, so phi
-    is never evaluated outside its domain.  Returns (rows, error,
-    integrand): the indices of the admissible rows; the error of the first
+def _admissibility(p: VariationalProblem, y):
+    """The conditions of :func:`admissible`, walked over the rows of y (as
+    evaluate_functional takes it) in the order listed there, which is the
+    order evaluate_functional reports them in.  Each condition sees only
+    the rows that passed the ones before, so phi is never evaluated outside
+    its domain.  Returns (shape, rows, error, values): y's shape without its
+    last axis; the indices of the admissible rows; the error of the first
     condition some row fails, located over the rows that reached it, or
-    None; and the integrand on [a, b]^kappa of the rows that reached the
-    finiteness check, which are all k rows when error is None.  Call under
-    np.errstate: rows that overflow are rejected, not warned about.
-    """
+    None; and the admissible rows' values, from their one integrand.  Rows
+    that overflow are rejected silently.  No block-sized temporary outlives
+    its check: the perturbation oracle's time follows the heap's peak."""
     ts = p.ts
+    yvals = _grid_values(ts, y)
     kap = slice(len(ts.kappa_indices()))
     mu = ts._mu[kap]
+    Y = yvals.reshape(-1, yvals.shape[-1])
     rows, error = np.arange(len(Y)), None
 
     def drop(bad, fault):
@@ -271,31 +271,35 @@ def _admissibility(p: VariationalProblem, Y, d):
                 error = fault()
             rows, Y, d = rows[~bad], Y[~bad], d[~bad]
 
-    drop(np.abs(Y[:, 0]) > POSITIVITY_TOL,
-         lambda: AdmissibilityError("y(a) must be 0", point=ts.a,
-                                    condition="y(a) = 0"))
-    yb = Y[:, -1]
-    off = np.abs(yb - p.B) > BOUNDARY_TOL
-    drop(off, lambda: AdmissibilityError(
-        f"y(b) = {float(yb[off][0])} differs from B = {p.B}",
-        point=ts.b, condition="y(b) = B"))
-    if p.kind != "exp_derivative":
-        flat = _not_increasing(ts, d)
-        drop(flat.any(axis=1), lambda: _increase_error(ts, flat))
-    phi = None if p.kind == "power_weighted" else _phi_on_kappa(p)
-    if p.kind == "xlogx_shifted":
-        s = phi + d[:, kap]
-        drop((s <= 0.0).any(axis=1), lambda: _shift_error(ts, s))
-    if p.kind == "power_weighted":
-        drop(p.phi.outside_domain(Y[:, kap]).any(axis=1), p.phi.domain_error)
-        z = averaging_segment(Y[:, kap], mu, d[:, kap])[3]
-        drop(p.phi.outside_domain(z).any(axis=1), p.phi.domain_error)
-    integrand = gap_integrand(p, Y[:, kap], d[:, kap], mu, phi)
-    drop(~np.isfinite(integrand).all(axis=1),
-         lambda: DomainError("the functional's integrand is not finite"))
-    drop(~np.isfinite(Y).all(axis=1),
-         lambda: DomainError("grid values must be finite"))
-    return rows, error, integrand
+    with np.errstate(all="ignore"):
+        d = ts.delta_derivative_grid(yvals).reshape(Y.shape)
+        drop(np.abs(Y[:, 0]) > POSITIVITY_TOL,
+             lambda: AdmissibilityError("y(a) must be 0", point=ts.a,
+                                        condition="y(a) = 0"))
+        off = np.abs(Y[:, -1] - p.B) > BOUNDARY_TOL
+        drop(off, lambda: AdmissibilityError(
+            f"y(b) = {float(Y[off, -1][0])} differs from B = {p.B}",
+            point=ts.b, condition="y(b) = B"))
+        if p.kind != "exp_derivative":
+            flat = _not_increasing(ts, d)
+            drop(flat.any(axis=1), lambda: _increase_error(ts, flat))
+        phi = None if p.kind == "power_weighted" else _phi_on_kappa(p)
+        if p.kind == "xlogx_shifted":
+            drop((phi + d[:, kap] <= 0.0).any(axis=1),
+                 lambda: _shift_error(ts, phi + d[:, kap]))
+        if p.kind == "power_weighted":
+            drop(p.phi.outside_domain(Y[:, kap]).any(axis=1),
+                 p.phi.domain_error)
+            z = averaging_segment(Y[:, kap], mu, d[:, kap])[3]
+            drop(p.phi.outside_domain(z).any(axis=1), p.phi.domain_error)
+            del z
+        # the integrand takes the derivatives' place (no integral reads b's)
+        d[:, kap] = gap_integrand(p, Y[:, kap], d[:, kap], mu, phi)
+        drop(~np.isfinite(d[:, kap]).all(axis=1),
+             lambda: DomainError("the functional's integrand is not finite"))
+        drop(~np.isfinite(Y).all(axis=1),
+             lambda: DomainError("grid values must be finite"))
+        return yvals.shape[:-1], rows, error, ts.delta_integral(d)
 
 
 def admissible(p: VariationalProblem, y):
@@ -307,14 +311,10 @@ def admissible(p: VariationalProblem, y):
     class), phi is defined at both ends of each averaging segment
     (power-weighted class), the integrand is finite and so are the
     values."""
-    yvals = y.values if isinstance(y, GridFunction) else np.asarray(y, dtype=float)
-    Y = yvals.reshape(-1, yvals.shape[-1])
-    with np.errstate(all="ignore"):
-        d = p.ts.delta_derivative_grid(y)
-        rows = _admissibility(p, Y, d.reshape(Y.shape))[0]
-    ok = np.zeros(len(Y), dtype=bool)
+    shape, rows = _admissibility(p, y)[:2]
+    ok = np.zeros(math.prod(shape), dtype=bool)
     ok[rows] = True
-    return bool(ok[0]) if yvals.ndim == 1 else ok.reshape(yvals.shape[:-1])
+    return bool(ok[0]) if shape == () else ok.reshape(shape)
 
 
 def evaluate_functional(p: VariationalProblem, y, check_admissible: bool = True):
@@ -330,20 +330,17 @@ def evaluate_functional(p: VariationalProblem, y, check_admissible: bool = True)
     Without the check, a row whose integrand overflows gets an infinite or
     NaN value; no numpy warning is emitted either way.
     """
+    if check_admissible:
+        shape, _, error, values = _admissibility(p, y)
+        if error is not None:
+            raise error
+        return float(values[0]) if shape == () else values.reshape(shape)
     ts = p.ts
-    yvals = y.values if isinstance(y, GridFunction) else np.asarray(y, dtype=float)
+    yvals = _grid_values(ts, y)
     kap = slice(len(ts.kappa_indices()))
-    integrand = np.zeros_like(yvals)
     with np.errstate(all="ignore"):
-        d = ts.delta_derivative_grid(y)
-        if check_admissible:
-            Y = yvals.reshape(-1, yvals.shape[-1])
-            _, error, terms = _admissibility(p, Y, d.reshape(Y.shape))
-            if error is not None:
-                raise error
-            integrand[..., kap] = terms.reshape(integrand[..., kap].shape)
-        else:
-            phi = None if p.kind == "power_weighted" else _phi_on_kappa(p)
-            integrand[..., kap] = gap_integrand(p, yvals[..., kap], d[..., kap],
-                                                ts._mu[kap], phi)
-    return ts.delta_integral(integrand)
+        d = ts.delta_derivative_grid(yvals)
+        phi = None if p.kind == "power_weighted" else _phi_on_kappa(p)
+        d[..., kap] = gap_integrand(p, yvals[..., kap], d[..., kap],
+                                    ts._mu[kap], phi)
+        return ts.delta_integral(d)

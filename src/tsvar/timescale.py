@@ -268,7 +268,7 @@ class TimeScale:
         """
         vals = _grid_values(self, y)
         out = np.empty_like(vals)
-        out[..., :-1] = np.diff(vals, axis=-1) / np.diff(self.points)
+        np.divide(np.diff(vals, axis=-1), np.diff(self.points), out=out[..., :-1])
         out[..., -1] = np.nan
         if self.intervals:
             idx, f, h = self._intervals_on_grid(vals)
@@ -289,11 +289,8 @@ class GridFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
         n = len(self.timescale.points)
-        if len(vals) == n - 1:
-            # kappa-length data: pad the (never integrated) max point
-            vals = np.append(vals, vals[-1])
+        vals = pad_kappa(self.values, n)
         if len(vals) != n:
             raise DomainError(
                 f"expected {n} (or {n - 1}) values, got {len(self.values)}"
@@ -312,6 +309,13 @@ class GridFunction:
     @property
     def spread(self):
         return float(np.max(self.values) - np.min(self.values))
+
+
+def pad_kappa(vals, n):
+    """vals as floats; n - 1 of them (data on [a, b]^kappa, b left-scattered)
+    are padded by repeating the last at b, which no integral reads."""
+    vals = np.asarray(vals, dtype=float)
+    return np.append(vals, vals[-1:]) if len(vals) == n - 1 else vals
 
 
 def _grid_values(ts, f):

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .solvers import (VariationalProblem, _phi_on_kappa, admissible,
+from .solvers import (VariationalProblem, _admissibility, _phi_on_kappa,
                       evaluate_functional, gap_integrand, solve)
 from .timescale import GridFunction, real_interval
 
@@ -392,13 +392,14 @@ def perturbation_verify(p: VariationalProblem, eps: float,
     """Check that no small perturbation of a candidate improves the functional.
 
     Interior values are shifted by +/-eps one at a time and in seeded random
-    pairs.  The moves are rows of one array, checked by one `admissible`
-    mask; eps is halved (up to 40 times) for the rows the mask rejects only,
-    and the admissible rows are then evaluated in one pass.  Rows go in
-    blocks of at most BATCH_ROWS rows and _LEVEL_PAIRS / 2 values, so a
-    long trajectory never holds all its moves at once.  The best candidate
-    is the first move, in move order, with the least value (the greatest
-    for a maximum problem) when it beats the candidate.  Unlike the global
+    pairs.  The moves are rows of one array, checked and valued by one
+    admissibility walk (see `admissible`) per halving round: eps is halved
+    (up to 40 times) for the rows the walk rejects only, and each row keeps
+    the value of the round that accepted it.  Rows go in blocks of at most
+    BATCH_ROWS rows and _LEVEL_PAIRS / 2 values, so a long trajectory never
+    holds all its moves at once.  The best candidate is the first move, in
+    move order, with the least value (the greatest for a maximum problem)
+    when it beats the candidate.  Unlike the global
     modes, the verdict here is local: refuted means some neighbour beats
     the candidate by more than the slack, and `refuting_candidate` is the
     first such move.
@@ -434,8 +435,8 @@ def perturbation_verify(p: VariationalProblem, eps: float,
     # rows whose shift overflows are rejected by the mask, not warned about
     with np.errstate(all="ignore"):
         for start in range(0, len(moves), step):
-            Y = _admissible_moves(p, base.values, moves[start:start + step], eps)
-            vals = evaluate_functional(p, Y, check_admissible=False)
+            Y, vals = _admissible_moves(p, base.values,
+                                        moves[start:start + step], eps)
             signed = sign * vals
             # the first least value, as a running strict minimum finds it;
             # admissible rows have no NaN value, so argmin sees every row
@@ -459,22 +460,26 @@ def perturbation_verify(p: VariationalProblem, eps: float,
 
 
 def _admissible_moves(p, base, moves, eps):
-    """The moved trajectories, one row per move: base with each (index,
-    sign) of the move shifted by sign * e, e the first of eps, eps / 2, ...,
-    eps / 2**40 that makes the row admissible.  PreconditionError when no
-    e does for some row."""
+    """The moved trajectories, one row per move, and their values: base
+    with each (index, sign) of the move shifted by sign * e, e the first of
+    eps, eps / 2, ..., eps / 2**40 that makes the row admissible, valued in
+    the admissibility walk that accepts it.  PreconditionError when no e
+    does for some row."""
     rows, cols, signs = map(np.array, zip(*[
         (r, i, s) for r, move in enumerate(moves) for i, s in move]))
     e = np.full(len(moves), float(eps))
     Y = np.empty((len(moves), len(base)))
+    vals = np.empty(len(moves))
     todo = np.arange(len(moves))
     for _ in range(41):
         Y[todo] = base
         at = np.isin(rows, todo)
         Y[rows[at], cols[at]] += signs[at] * e[rows[at]]
-        todo = todo[~admissible(p, Y[todo])]
+        _, ok, _, v = _admissibility(p, Y[todo])
+        vals[todo[ok]] = v
+        todo = np.delete(todo, ok)
         if not len(todo):
-            return Y
+            return Y, vals
         e[todo] *= 0.5
     raise PreconditionError("eps destroys admissibility even after 40 halvings")
 

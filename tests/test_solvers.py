@@ -34,6 +34,7 @@ from tsvar import (
 from generators import random_admissible_trajectory
 from tsvar.roots import invert_increasing
 from tsvar.solvers import weight_antiderivative
+import tsvar.solvers as solvers
 
 
 def worked_problem():
@@ -455,6 +456,16 @@ class TestAdmissible:
             evaluate_functional(p, y)
         assert evaluate_functional(p, y, check_admissible=False) == 2.0
 
+    def test_unchecked_overflow_is_silent(self):
+        # exp(y^Delta) overflows on an interval, where the quadrature meets
+        # it times zero graininess: the value is NaN, with no warning
+        p = VariationalProblem("exp_derivative", real_interval(0, 1, 5), 1.0,
+                               Constant(1.0))
+        y = np.array([0.0, 0.25, 800.0, 0.75, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(evaluate_functional(p, y, check_admissible=False))
+
     def test_first_condition_wins_over_first_row(self):
         # row 0 is not increasing and row 1 misses y(a): the y(a) check
         # comes first, whatever the rows' order
@@ -480,9 +491,14 @@ class TestAdmissible:
         ("xlogx_shifted", Affine(0.3, 0.7), 4.0, None),
     ])
     def test_mask_is_where_evaluation_succeeds(self, kind, phi, B, alpha):
+        for ts in (custom(atoms=[0.0, 0.5, 1.25, 2.0, 3.0]),
+                   custom(atoms=[0.0, 0.5, 3.0], intervals=[(1.0, 2.0)],
+                          quad_nodes_per_interval=5)):
+            self._check_mask(VariationalProblem(kind, ts, B, phi, alpha=alpha))
+
+    def _check_mask(self, p):
         rng = np.random.default_rng(5)
-        ts = custom(atoms=[0.0, 0.5, 1.25, 2.0, 3.0])
-        p = VariationalProblem(kind, ts, B, phi, alpha=alpha)
+        ts = p.ts
         base = solve(p).trajectory.values
         Y = base + rng.normal(0.0, 0.6, (300, len(base))) * \
             rng.integers(0, 2, (300, len(base)))
@@ -492,8 +508,14 @@ class TestAdmissible:
             warnings.simplefilter("error")
             mask = admissible(p, Y)
             ok = [self._error(p, row) is None for row in Y]
+            _, rows, _, values = solvers._admissibility(p, Y)
+            evaluate_functional(p, Y, check_admissible=False)
         assert mask.tolist() == ok
         assert 0 < sum(ok) < len(ok)
         np.testing.assert_array_equal(
             evaluate_functional(p, Y[mask]),
             [evaluate_functional(p, GridFunction(ts, row)) for row in Y[mask]])
+        # the walk's value of each accepted row is the checked evaluation's
+        assert rows.tolist() == np.flatnonzero(mask).tolist()
+        assert values.tobytes() == np.array(
+            [evaluate_functional(p, Y[i]) for i in rows]).tobytes()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsvar import (
     Affine,
@@ -233,6 +234,125 @@ class TestConvergenceOrder:
             got = ts.delta_derivative_grid(np.sin(3 * x) + np.exp(x))
             return np.max(np.abs(got - (3 * np.cos(3 * x) + np.exp(x))))
         assert min(self._orders(error)) >= 3.5
+
+
+@st.composite
+def mixed_scales(draw):
+    """A custom scale of 2-6 pieces, each an atom or an interval, laid out
+    from 0 with power-of-two gaps and lengths, so the points between
+    pieces and every graininess are dyadic; touching intervals share a
+    node."""
+    pieces = draw(st.lists(st.booleans(), min_size=2, max_size=6))
+    t, atoms, intervals = 0.0, [], []
+    for i, is_interval in enumerate(pieces):
+        if i:
+            touch = is_interval and pieces[i - 1] and draw(st.booleans())
+            t += 0.0 if touch else 2.0 ** draw(st.integers(-3, 1))
+        if is_interval:
+            intervals.append((t, t + 2.0 ** draw(st.integers(-1, 1))))
+            t = intervals[-1][1]
+        else:
+            atoms.append(t)
+    nodes = draw(st.sampled_from([5, 9, 17, 33]))
+    return custom(atoms=atoms, intervals=intervals, quad_nodes_per_interval=nodes)
+
+
+@st.composite
+def smooth_on(draw, ts):
+    """(y, M5, M6): y = A sin(w t + c) + beta t on the grid, rounded to
+    multiples of 2**-40 so that differences of its values are exact, with
+    bounds on |y^(5)| and |y^(6)|."""
+    A = draw(st.floats(0.5, 2.0))
+    w = draw(st.floats(0.5, 3.0))
+    c = draw(st.floats(0.0, 3.0))
+    beta = draw(st.floats(-1.0, 1.0))
+    y = A * np.sin(w * ts.points + c) + beta * ts.points
+    return np.round(y * 2.0 ** 40) / 2.0 ** 40, A * w ** 5, A * w ** 6
+
+
+def _interval_error_bound(ts, lo, hi, y, M5, M6):
+    """Fourth-order bound on |integral of y^Delta over [lo, hi] - (y(hi) -
+    y(lo))|: the difference stencils and the cubic quadrature each err by
+    less than h^4 M5 per unit length (h^5 M6 at the one-sided edges), plus
+    the stencils' amplification of the 2**-41 value rounding, and float
+    rounding."""
+    h = (hi - lo) / (ts._spans[0, 1] - ts._spans[0, 0] - 1)
+    u = np.finfo(float).eps / 2
+    return ((hi - lo) * (h ** 4 * M5 + h ** 5 * M6 + 32 * 2.0 ** -41 / h)
+            + 64 * len(ts.points) * u * np.abs(y).max())
+
+
+class TestMixedScaleProperties:
+    """The calculus as properties on random mixed scales."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_subrange_additivity(self, data):
+        ts = data.draw(mixed_scales())
+        n = len(ts.points)
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        f = np.random.default_rng(seed).uniform(-10.0, 10.0, n)
+        i, j, k = sorted(data.draw(st.lists(st.integers(0, n - 1),
+                                            min_size=3, max_size=3)))
+        t = ts.points
+        whole = ts.delta_integral(f, t[i], t[k])
+        split = ts.delta_integral(f, t[i], t[j]) + ts.delta_integral(f, t[j], t[k])
+        u = np.finfo(float).eps / 2
+        assert abs(split - whole) <= 8 * n * u * (ts.b - ts.a) * 10.0
+
+    @staticmethod
+    def _pieces(ts):
+        """(discrete runs, intervals): the maximal runs (i, j) of grid
+        indices joined by scattered gaps, and each interval's (lo, hi)."""
+        scattered = ts._mu[:-1] > 0.0
+        runs, i = [], None
+        for g, s in enumerate(scattered):
+            if s and i is None:
+                i = g
+            if not s and i is not None:
+                runs.append((i, g))
+                i = None
+        if i is not None:
+            runs.append((i, len(scattered)))
+        return runs, ts.intervals
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_integral_of_derivative(self, data):
+        # exact on the discrete parts: mu (y(sigma) - y) / mu round-trips
+        # for dyadic mu, and the differences of y are exact; within the
+        # fourth-order bound on each interval whose right end is
+        # right-dense (see test_integral_of_derivative_at_scattered_end)
+        ts = data.draw(mixed_scales())
+        y, M5, M6 = data.draw(smooth_on(ts))
+        d = ts.delta_derivative_grid(y)
+        d[np.isnan(d)] = 0.0
+        t = ts.points
+        runs, intervals = self._pieces(ts)
+        for i, j in runs:
+            assert ts.delta_integral(d, t[i], t[j]) == y[j] - y[i]
+        for lo, hi in intervals:
+            if ts.mu(hi) > 0.0:
+                continue
+            i, j = ts.index_of(lo), ts.index_of(hi)
+            assert abs(ts.delta_integral(d, lo, hi) - (y[j] - y[i])) <= \
+                _interval_error_bound(ts, lo, hi, y, M5, M6)
+        if not any(ts.mu(hi) > 0.0 for _, hi in intervals):
+            assert abs(ts.delta_integral(d) - (y[-1] - y[0])) <= sum(
+                _interval_error_bound(ts, lo, hi, y, M5, M6) for lo, hi in intervals)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the quadrature of an interval samples y^Delta at its right end, "
+        "which is the jump quotient when that end is right-scattered, so "
+        "the error there is first order in h"))
+    def test_integral_of_derivative_at_scattered_end(self):
+        # [0, 2] followed by the atom 3: at 129 nodes the error is 1.8e-3,
+        # where the fourth-order bound allows 1.2e-7
+        ts = custom(atoms=[3.0], intervals=[(0.0, 2.0)])
+        y = np.sin(ts.points)
+        d = ts.delta_derivative_grid(y)
+        assert abs(ts.delta_integral(d, 0.0, 2.0) - (y[-2] - y[0])) <= \
+            _interval_error_bound(ts, 0.0, 2.0, y, 1.0, 1.0)
 
 
 class TestDeltaDerivative:

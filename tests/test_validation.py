@@ -31,6 +31,7 @@ from tsvar import (
 from generators import random_discrete_timescale
 from reference_perturbation import perturbation_verify_per_move
 from tsvar.solvers import KINDS
+import tsvar.solvers as solvers
 import tsvar.validation as validation
 
 
@@ -398,14 +399,13 @@ class TestPerturbation:
         # is a fault and must surface unchanged
         p = worked_problem()
         base = solve(p).trajectory
-        real = validation.evaluate_functional
 
-        def broken(problem, y, check_admissible=True):
-            if y is base:
-                return real(problem, y, check_admissible)
+        def broken(problem, y):
             raise RuntimeError("evaluator fault")
 
-        monkeypatch.setattr(validation, "evaluate_functional", broken)
+        # the moves are walked and valued here; the base goes through
+        # evaluate_functional, which this does not touch
+        monkeypatch.setattr(validation, "_admissibility", broken)
         with pytest.raises(RuntimeError, match="evaluator fault"):
             perturbation_verify(p, eps=1e-3, trajectory=base)
 
@@ -483,13 +483,13 @@ class TestBatchedPerturbation:
                                Constant(1.0))
         eps = 1.5 * float(np.median(np.diff(solve(p).trajectory.values)))
         sizes = []
-        real = validation.admissible
+        real = validation._admissibility
 
         def spy(problem, Y):
             sizes.append(len(Y))
             return real(problem, Y)
 
-        monkeypatch.setattr(validation, "admissible", spy)
+        monkeypatch.setattr(validation, "_admissibility", spy)
         rep = perturbation_verify(p, eps)
         assert rep.certified
         assert sizes[0] == rep.candidates_evaluated == 2 * 10 + 16
@@ -499,19 +499,58 @@ class TestBatchedPerturbation:
         assert (_outcome(perturbation_verify, p, eps, None, 16, 12345)
                 == _outcome(perturbation_verify_per_move, p, eps, None, 16, 12345))
 
+    def test_one_integrand_per_row_and_round(self, monkeypatch):
+        # evaluate_functional sees the base only; each halving round walks
+        # its rows once and builds their integrand in one call, which sees
+        # no more rows than the round holds
+        rng = random.Random(7)
+        p = VariationalProblem("xlogx_shifted",
+                               random_discrete_timescale(rng, 12, 12), 200.0,
+                               Constant(1.0))
+        base = solve(p).trajectory
+        eps = 1.5 * float(np.median(np.diff(base.values)))
+        events = []
+        real_evaluate = validation.evaluate_functional
+        real_walk = validation._admissibility
+        real_build = solvers.gap_integrand
+
+        def evaluate(problem, y, check_admissible=True):
+            events.append(("evaluate", y))
+            return real_evaluate(problem, y, check_admissible)
+
+        def walk(problem, y):
+            events.append(("walk", len(y)))
+            return real_walk(problem, y)
+
+        def build(problem, y, *args):
+            events.append(("integrand", len(y)))
+            return real_build(problem, y, *args)
+
+        monkeypatch.setattr(validation, "evaluate_functional", evaluate)
+        monkeypatch.setattr(validation, "_admissibility", walk)
+        monkeypatch.setattr(solvers, "gap_integrand", build)
+        rep = perturbation_verify(p, eps, trajectory=base)
+        assert events[0][0] == "evaluate" and events[0][1] is base
+        assert events[1] == ("integrand", 1)
+        walks, builds = events[2::2], events[3::2]
+        assert [name for name, _ in walks] == ["walk"] * len(walks)
+        assert [name for name, _ in builds] == ["integrand"] * len(walks)
+        assert all(b <= w for (_, w), (_, b) in zip(walks, builds))
+        # eps needs halving for some rows, so they are walked more than once
+        assert sum(w for _, w in walks) > rep.candidates_evaluated
+
     def test_blocks_bound_the_rows(self, monkeypatch):
         # with room for 3 rows of 21 values a block, the report still
         # matches the reference, and no evaluation sees more than 3 rows
         monkeypatch.setattr(validation, "_LEVEL_PAIRS", 2 * 3 * 21)
         seen = []
-        real = validation.evaluate_functional
+        real = validation._admissibility
 
-        def spy(problem, y, check_admissible=True):
-            if not check_admissible:
-                seen.append(np.shape(y))
-            return real(problem, y, check_admissible)
+        def spy(problem, y):
+            seen.append(np.shape(y))
+            return real(problem, y)
 
-        monkeypatch.setattr(validation, "evaluate_functional", spy)
+        monkeypatch.setattr(validation, "_admissibility", spy)
         for _, p, eps, traj, pairs, seed in self.CASES[5:]:
             if len(p.ts) != 21:
                 continue
@@ -527,18 +566,18 @@ class TestBatchedPerturbation:
         monkeypatch.setattr(validation, "_LEVEL_PAIRS", 2 * 6 * rows)
         p = worked_problem()
         base = solve(p).trajectory
-        real = validation.evaluate_functional
+        real = validation._admissibility
         blocks = []
 
-        def fake(problem, y, check_admissible=True):
-            if check_admissible:
-                return real(problem, y)
+        def fake(problem, y):
+            shape, ok, error, _ = real(problem, y)
+            assert len(ok) == len(y)        # eps = 0.5 needs no halving
             start = sum(len(b) for b in blocks)
             blocks.append(y.copy())
             rows = np.arange(start, start + len(y))
-            return np.where(np.isin(rows, [3, 5]), 0.0, 1e9)
+            return shape, ok, error, np.where(np.isin(rows, [3, 5]), 0.0, 1e9)
 
-        monkeypatch.setattr(validation, "evaluate_functional", fake)
+        monkeypatch.setattr(validation, "_admissibility", fake)
         rep = perturbation_verify(p, eps=0.5, trajectory=base)
         moved = np.concatenate(blocks)
         assert rep.best_value_found == 0.0 and rep.verdict == "refuted"
