@@ -399,10 +399,9 @@ def perturbation_verify(p: VariationalProblem, eps: float,
     BATCH_ROWS rows and _LEVEL_PAIRS / 2 values, so a long trajectory never
     holds all its moves at once.  The best candidate is the first move, in
     move order, with the least value (the greatest for a maximum problem)
-    when it beats the candidate.  Unlike the global
-    modes, the verdict here is local: refuted means some neighbour beats
-    the candidate by more than the slack, and `refuting_candidate` is the
-    first such move.
+    when it beats the candidate.  Unlike the global modes, the verdict here
+    is local: refuted means some neighbour beats the candidate by more than
+    the slack, and `refuting_candidate` is the first such move.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
@@ -432,7 +431,7 @@ def perturbation_verify(p: VariationalProblem, eps: float,
     # glibc's default mmap threshold: larger arrays get fresh pages on each
     # block, 1.2-2x slower at 300-3000 atoms on a 2-vCPU x86-64 machine
     step = max(1, min(BATCH_ROWS, _LEVEL_PAIRS // (2 * n)))
-    # rows whose shift overflows are rejected by the mask, not warned about
+    # rows whose shift overflows are rejected by the walk, not warned about
     with np.errstate(all="ignore"):
         for start in range(0, len(moves), step):
             Y, vals = _admissible_moves(p, base.values,

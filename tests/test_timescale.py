@@ -301,9 +301,8 @@ class TestMixedScaleProperties:
         assert abs(split - whole) <= 8 * n * u * (ts.b - ts.a) * 10.0
 
     @staticmethod
-    def _pieces(ts):
-        """(discrete runs, intervals): the maximal runs (i, j) of grid
-        indices joined by scattered gaps, and each interval's (lo, hi)."""
+    def _discrete_runs(ts):
+        """The maximal runs (i, j) of grid indices joined by scattered gaps."""
         scattered = ts._mu[:-1] > 0.0
         runs, i = [], None
         for g, s in enumerate(scattered):
@@ -314,7 +313,7 @@ class TestMixedScaleProperties:
                 i = None
         if i is not None:
             runs.append((i, len(scattered)))
-        return runs, ts.intervals
+        return runs
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -326,10 +325,8 @@ class TestMixedScaleProperties:
         ts = data.draw(mixed_scales())
         y, M5, M6 = data.draw(smooth_on(ts))
         d = ts.delta_derivative_grid(y)
-        d[np.isnan(d)] = 0.0
-        t = ts.points
-        runs, intervals = self._pieces(ts)
-        for i, j in runs:
+        t, intervals = ts.points, ts.intervals
+        for i, j in self._discrete_runs(ts):
             assert ts.delta_integral(d, t[i], t[j]) == y[j] - y[i]
         for lo, hi in intervals:
             if ts.mu(hi) > 0.0:
