@@ -25,7 +25,7 @@ from .errors import (
 from .functions import ScalarFunction
 from .roots import invert_increasing
 from .timescale import (GridFunction, TimeScale, _grid_values,
-                        averaged_chain_factor, averaging_segment)
+                        averaging_segment, segment_mean)
 
 #: |y(b) - B| tolerance for boundary admissibility
 BOUNDARY_TOL = 1e-9
@@ -229,16 +229,16 @@ def _shift_error(ts, s):
         point=t_bad, condition="phi + y_delta > 0")
 
 
-def gap_integrand(p: VariationalProblem, y, d, mu, phi):
-    """The problem's integrand at points where the trajectory has value y,
-    delta derivative d and graininess mu, and the weight has value phi
-    (unused by the power-weighted class, which averages phi over the
-    trajectory's jump instead).  Elementwise on broadcast arrays."""
+def gap_integrand(p: VariationalProblem, d, w):
+    """The problem's integrand at points where the trajectory has delta
+    derivative d and the weight term is w: phi there, or for the
+    power-weighted class phi's mean over the trajectory's jump (see
+    averaged_chain_factor).  Elementwise on broadcast arrays."""
     if p.kind == "power_weighted":
-        return (averaged_chain_factor(p.phi, y, mu, d) * d) ** p.alpha
+        return (w * d) ** p.alpha
     if p.kind == "exp_derivative":
-        return phi * np.exp(d)
-    s = phi + d
+        return w * np.exp(d)
+    s = w + d
     out = np.maximum(s, 1e-300)
     np.log(out, out=out)
     out *= s
@@ -255,21 +255,21 @@ def _admissibility(p: VariationalProblem, y):
     condition some row fails, located over the rows that reached it, or
     None; and the admissible rows' values, from their one integrand.  Rows
     that overflow are rejected silently.  No block-sized temporary outlives
-    its check: the perturbation oracle's time follows the heap's peak."""
+    its check, and none is copied unless a row is dropped: the perturbation
+    oracle's time follows the heap's peak."""
     ts = p.ts
     yvals = _grid_values(ts, y)
     kap = slice(len(ts.kappa_indices()))
-    mu = ts._mu[kap]
     Y = yvals.reshape(-1, yvals.shape[-1])
     rows, error = np.arange(len(Y)), None
 
-    def drop(bad, fault):
-        # bad flags the current rows that fail; fault() is the failure's error
+    def drop(bad, fault, *more):
+        # bad flags the rows to drop, also from more; fault() is their error
         nonlocal rows, error, Y, d
         if bad.any():
-            if error is None:
-                error = fault()
-            rows, Y, d = rows[~bad], Y[~bad], d[~bad]
+            error = error or fault()
+            rows, Y, d, *more = (a[~bad] for a in (rows, Y, d, *more))
+        return more
 
     with np.errstate(all="ignore"):
         d = ts.delta_derivative_grid(yvals).reshape(Y.shape)
@@ -281,20 +281,24 @@ def _admissibility(p: VariationalProblem, y):
             f"y(b) = {float(Y[off, -1][0])} differs from B = {p.B}",
             point=ts.b, condition="y(b) = B"))
         if p.kind != "exp_derivative":
-            flat = _not_increasing(ts, d)
-            drop(flat.any(axis=1), lambda: _increase_error(ts, flat))
-        phi = None if p.kind == "power_weighted" else _phi_on_kappa(p)
-        if p.kind == "xlogx_shifted":
-            drop((phi + d[:, kap] <= 0.0).any(axis=1),
-                 lambda: _shift_error(ts, phi + d[:, kap]))
+            drop(_not_increasing(ts, d).any(axis=1),
+                 lambda: _increase_error(ts, _not_increasing(ts, d)))
         if p.kind == "power_weighted":
-            drop(p.phi.outside_domain(Y[:, kap]).any(axis=1),
-                 p.phi.domain_error)
-            z = averaging_segment(Y[:, kap], mu, d[:, kap])[3]
-            drop(p.phi.outside_domain(z).any(axis=1), p.phi.domain_error)
-            del z
+            # a jump's segment: phi defined at both ends, its mean the weight
+            _, s, jump, z = averaging_segment(Y[:, kap], ts._mu[kap], d[:, kap])
+            outside = p.phi.outside_domain
+            s, jump, z = drop((outside(Y[:, kap]) | outside(z)).any(axis=1),
+                              p.phi.domain_error, s, jump, z)
+            w = segment_mean(p.phi, Y[:, kap], s, jump, z)
+            del s, jump, z
+        else:
+            w = _phi_on_kappa(p)
+        if p.kind == "xlogx_shifted":
+            drop((w + d[:, kap] <= 0.0).any(axis=1),
+                 lambda: _shift_error(ts, w + d[:, kap]))
         # the integrand takes the derivatives' place (no integral reads b's)
-        d[:, kap] = gap_integrand(p, Y[:, kap], d[:, kap], mu, phi)
+        d[:, kap] = gap_integrand(p, d[:, kap], w)
+        del w
         drop(~np.isfinite(d[:, kap]).all(axis=1),
              lambda: DomainError("the functional's integrand is not finite"))
         drop(~np.isfinite(Y).all(axis=1),
@@ -317,30 +321,19 @@ def admissible(p: VariationalProblem, y):
     return bool(ok[0]) if shape == () else ok.reshape(shape)
 
 
-def evaluate_functional(p: VariationalProblem, y, check_admissible: bool = True):
+def evaluate_functional(p: VariationalProblem, y):
     """Value of the problem's functional at candidate trajectories.
 
     ``y`` is a GridFunction, giving a float, or an array of shape (k, n)
     holding k trajectories on the n grid points, giving k values from one
-    vectorised pass.  Unless ``check_admissible`` is false, every row must
-    be admissible (see :func:`admissible`): the first condition that some
-    row fails raises, AdmissibilityError for the boundary values, strict
-    increase and positive shifted derivative, with the offending point,
-    and DomainError for phi's domain and a non-finite integrand or value.
-    Without the check, a row whose integrand overflows gets an infinite or
-    NaN value; no numpy warning is emitted either way.
+    vectorised pass.  Every row must be admissible (see
+    :func:`admissible`): the first condition that some row fails raises,
+    AdmissibilityError for the boundary values, strict increase and
+    positive shifted derivative, with the offending point, and DomainError
+    for phi's domain and a non-finite integrand or value.  No numpy warning
+    is emitted.
     """
-    if check_admissible:
-        shape, _, error, values = _admissibility(p, y)
-        if error is not None:
-            raise error
-        return float(values[0]) if shape == () else values.reshape(shape)
-    ts = p.ts
-    yvals = _grid_values(ts, y)
-    kap = slice(len(ts.kappa_indices()))
-    with np.errstate(all="ignore"):
-        d = ts.delta_derivative_grid(yvals)
-        phi = None if p.kind == "power_weighted" else _phi_on_kappa(p)
-        d[..., kap] = gap_integrand(p, yvals[..., kap], d[..., kap],
-                                    ts._mu[kap], phi)
-        return ts.delta_integral(d)
+    shape, _, error, values = _admissibility(p, y)
+    if error is not None:
+        raise error
+    return float(values[0]) if shape == () else values.reshape(shape)

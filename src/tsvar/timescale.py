@@ -228,8 +228,8 @@ class TimeScale:
         returned as an array.
         """
         vals = _grid_values(self, f)
-        ilo = self.index_of(self.a if lo is None else lo)
-        ihi = self.index_of(self.b if hi is None else hi)
+        ilo = 0 if lo is None else self.index_of(lo)
+        ihi = len(self.points) - 1 if hi is None else self.index_of(hi)
         if ilo > ihi:
             raise DomainError("delta_integral requires lo <= hi")
         total = self._amounts(vals)[..., ilo:ihi].sum(axis=-1)
@@ -268,7 +268,8 @@ class TimeScale:
         """
         vals = _grid_values(self, y)
         out = np.empty_like(vals)
-        np.divide(np.diff(vals, axis=-1), np.diff(self.points), out=out[..., :-1])
+        np.subtract(vals[..., 1:], vals[..., :-1], out=out[..., :-1])
+        out[..., :-1] /= np.diff(self.points)
         out[..., -1] = np.nan
         if self.intervals:
             idx, f, h = self._intervals_on_grid(vals)
@@ -439,6 +440,12 @@ def averaged_chain_factor(gprime, y_t, mu_t, ydelta_t):
     y, s, jump, z = averaging_segment(y_t, mu_t, ydelta_t)
     gprime.check_domain(y)
     gprime.check_domain(z)
+    out = segment_mean(gprime, y, s, jump, z)
+    return float(out) if out.ndim == 0 else out
+
+
+def segment_mean(gprime, y, s, jump, z):
+    """Mean of gprime over the segments [y, z] of averaging_segment."""
     out = np.array(gprime(y), dtype=float)
     np.divide(gprime.antideriv(z) - gprime.antideriv(y), s, out=out, where=jump)
-    return float(out) if out.ndim == 0 else out
+    return out

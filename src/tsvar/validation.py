@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BudgetError, PreconditionError
 from .solvers import (VariationalProblem, _admissibility, _phi_on_kappa,
                       evaluate_functional, gap_integrand, solve)
-from .timescale import GridFunction, real_interval
+from .timescale import GridFunction, averaged_chain_factor, real_interval
 
 #: slack absorbing accumulated floating-point error across candidate terms
 CERTIFY_SLACK = 1e-9
@@ -30,8 +30,8 @@ CERTIFY_SLACK = 1e-9
 #: perturbation mode: a candidate is refuted if some neighbour improves by more
 PERTURB_SLACK = 1e-12
 
-#: candidate rows per evaluate_functional call in the exhaustive and random
-#: modes, which bounds their working memory
+#: candidate rows per admissibility walk in the exhaustive and random modes,
+#: which bounds their working memory
 BATCH_ROWS = 4096
 
 #: level pairs per block of the exhaustive mode's dynamic programme: as
@@ -43,7 +43,7 @@ _LEVEL_PAIRS = 8 * BATCH_ROWS
 class OracleReport:
     candidates_evaluated: int
     best_value_found: float
-    best_candidate: Optional[GridFunction]
+    best_candidate: GridFunction
     closed_form_value: float
     verdict: str                       # "certified" | "refuted"
     mode: str
@@ -55,17 +55,15 @@ class OracleReport:
         return self.verdict == "certified"
 
     def to_dict(self):
-        d = {
+        return {
             "candidates_evaluated": self.candidates_evaluated,
             "best_value_found": self.best_value_found,
             "closed_form_value": self.closed_form_value,
             "verdict": self.verdict,
             "mode": self.mode,
             "optima_count": self.optima_count,
+            "best_candidate": [float(v) for v in self.best_candidate.values],
         }
-        if self.best_candidate is not None:
-            d["best_candidate"] = [float(v) for v in self.best_candidate.values]
-        return d
 
 
 def _require_discrete(p, max_atoms=None):
@@ -76,14 +74,35 @@ def _require_discrete(p, max_atoms=None):
         raise PreconditionError(f"oracle limited to {max_atoms} atoms")
 
 
-def _evaluate_rows(p, D, sign):
-    """Sign-adjusted functional values of the trajectories whose increments
-    are the rows of D, with those trajectories."""
-    # column-major, so the kernels' row-wise operations run over long
-    # contiguous columns instead of many short rows
-    Y = np.zeros((len(D), D.shape[1] + 1), order="F")
-    np.cumsum(D, axis=1, out=Y[:, 1:])
-    return sign * evaluate_functional(p, Y, check_admissible=False), Y
+def _best_of(p, heads, sign):
+    """(value, trajectory, near) of the best trajectory, least in
+    sign-adjusted terms and first in order, among those whose first n-1
+    increments are the rows of the head blocks and which end at B exactly,
+    as the admissibility walk values them; near counts the values within
+    CERTIFY_SLACK of the best.  The walk skips inadmissible rows, and if no
+    row is admissible its first error is raised (no row: trajectory None)."""
+    best_val, best_y, error = math.inf, None, None
+    near = np.empty(0)         # values within CERTIFY_SLACK of the running best
+    for head in heads:
+        # column-major, so the kernels' row-wise operations run over long
+        # contiguous columns instead of many short rows
+        Y = np.zeros((len(head), head.shape[1] + 2), order="F")
+        np.cumsum(head, axis=1, out=Y[:, 1:-1])
+        Y[:, -1] = p.B
+        _, rows, err, vals = _admissibility(p, Y)
+        error = error or err
+        if not len(rows):
+            continue
+        vals *= sign
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val, best_y = float(vals[i]), Y[rows[i]].copy()
+        # the best only falls, so values dropped here never count again
+        near = np.concatenate([near, vals])
+        near = near[near <= best_val + CERTIFY_SLACK]
+    if best_y is None and error is not None:
+        raise error
+    return sign * best_val, best_y, len(near)
 
 
 def _closed_form(p):
@@ -111,20 +130,20 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
     all covered, and `candidates_evaluated` counts them.  A min-plus dynamic
     programme over the cut levels {0, ..., bound} bounds every candidate's
     value from below, and only the candidates whose bound lies within
-    CERTIFY_SLACK of the optimum, plus a rounding margin, are evaluated with
-    `evaluate_functional`; every other candidate provably lies further from
-    the best.  The best is the first candidate, in lexicographic order,
-    with the smallest computed value (largest for a maximum);
-    `optima_count` counts the candidates within CERTIFY_SLACK of it.  An
-    empty lattice (no n-1 positive increments leave a positive tail)
-    raises PreconditionError, and a lattice too fine to count raises
-    BudgetError.  Working memory stays within blocks of BATCH_ROWS
-    candidates, and of as many level pairs as such a block holds values,
-    apart from vectors with one entry per level.
+    CERTIFY_SLACK of the optimum, plus a rounding margin, are valued, each
+    ending at B exactly, by the admissibility walk (see `_best_of`); every
+    other candidate provably lies further from the best.  The best is the
+    first admissible candidate, in lexicographic order, with the smallest
+    computed value (largest for a maximum); `optima_count` counts the
+    candidates within CERTIFY_SLACK of it.  An empty lattice (no n-1
+    positive increments leave a positive tail) raises PreconditionError,
+    and a lattice too fine to count BudgetError.  Working memory stays
+    within blocks of BATCH_ROWS candidates, and of as many level pairs as
+    such a block holds values, apart from vectors with one entry per level.
     """
     _require_discrete(p, max_atoms=8)
-    if resolution <= 0:
-        raise PreconditionError("resolution must be positive")
+    if not 0 < resolution < math.inf:
+        raise PreconditionError("resolution must be positive and finite")
     sol, closed, extremum = _closed_form(p)
     n = len(p.ts.points) - 1
     B = float(p.B)
@@ -145,48 +164,28 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
         )
 
     sign = 1.0 if extremum == "min" else -1.0
-    best_val = math.inf        # in sign-adjusted (minimization) terms
-    best_y = None
-    near = np.empty(0)         # values within CERTIFY_SLACK of the running best
-    evaluated = 0
     if n == 1:
         blocks = [np.zeros((1, 0), dtype=np.int64)]
     elif count:
         blocks = _Lattice(p, sign, bound, resolution).near_optimal_cuts()
     else:
         blocks = []
-    for cuts in blocks:
-        head = np.diff(cuts, axis=1, prepend=0) * resolution
-        # at most 6 terms a row under the 8-atom cap: numpy adds them in order
-        tail = B - head.sum(axis=1)
-        keep = tail > 0
-        if not keep.any():
-            continue
-        vals, Y = _evaluate_rows(p, np.column_stack([head[keep], tail[keep]]),
-                                 sign)
-        evaluated += len(vals)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_y = Y[i].copy()
-        # the best only falls, so values dropped here never count again
-        near = np.concatenate([near, vals])
-        near = near[near <= best_val + CERTIFY_SLACK]
-
-    if not evaluated:
+    heads = (np.diff(cuts, axis=1, prepend=0) * resolution for cuts in blocks)
+    # at most 6 terms a row under the 8-atom cap: numpy adds them in order
+    best_val, best_y, near = _best_of(
+        p, (h[B - h.sum(axis=1) > 0] for h in heads), sign)
+    if best_y is None:
         raise PreconditionError(
             f"no lattice candidate: B = {B} at resolution {resolution} leaves "
             f"no positive last increment after {n - 1} positive ones")
-    best_val *= sign
-    best = GridFunction(p.ts, best_y) if best_y is not None else None
     return OracleReport(
         candidates_evaluated=count,
-        best_value_found=float(best_val),
-        best_candidate=best,
+        best_value_found=best_val,
+        best_candidate=GridFunction(p.ts, best_y),
         closed_form_value=closed,
         verdict=_verdict(best_val, closed, extremum),
         mode=f"exhaustive(resolution={resolution})",
-        optima_count=len(near),
+        optima_count=near,
     )
 
 
@@ -216,10 +215,11 @@ class _Lattice:
                     else _phi_on_kappa(p))
         self.levels = np.append(np.arange(bound + 1) * resolution, float(p.B))
         # The rounding margin delta, carried term by term.  _evaluate_rows
-        # builds y_i as a running sum of rounded increments, and y_n as
-        # that sum plus the rounded B minus it; each lies within (2n + 3) u Y
-        # of the exact level (u = 2**-53, Y = max(|B|, bound * resolution)),
-        # and so does each level here.  So the evaluator computes the same
+        # builds y_i, i < n, as a running sum of rounded increments, and
+        # sets y_n = B exactly; each lies within (2n + 3) u Y of the exact
+        # level (u = 2**-53, Y = max(|B|, bound * resolution)), and so does
+        # each level here (y_n and the level of B are exact, so their share
+        # of the margin is headroom).  So the evaluator computes the same
         # integrand as here, at ends shifted by at most eps = 2 (2n + 3) u
         # max(Y, 1): the factor 2 is headroom, and max(Y, 1) also covers the
         # rounding of phi's antiderivative differences in the power-weighted
@@ -255,11 +255,14 @@ class _Lattice:
     def _terms(self, i, js, ks):
         """(low, high): bounds on gap i's term from levels js (column) to
         levels ks (row), +inf where the gap is not positive."""
-        mu, phi = self.mu[i], None if self.phi is None else self.phi[i]
+        mu = self.mu[i]
         y0 = self.levels[js][:, None] + (self.shift if i else 0.0)  # y_0 = 0
         y1 = self.levels[ks] - self.shift
         with np.errstate(all="ignore"):
-            t = self.sign * mu * gap_integrand(self.p, y0, (y1 - y0) / mu, mu, phi)
+            d = (y1 - y0) / mu
+            w = (averaged_chain_factor(self.p.phi, y0, mu, d)
+                 if self.phi is None else self.phi[i])
+            t = self.sign * mu * gap_integrand(self.p, d, w)
             lo, hi = t.min(axis=0), t.max(axis=0)
             pad = hi - lo + self.rho * np.abs(t).max(axis=0)
             low = np.where(lo == np.inf, lo, lo - pad)
@@ -353,9 +356,9 @@ class _Lattice:
 
 
 def random_verify(p: VariationalProblem, samples: int, seed: int) -> OracleReport:
-    """Sample admissible trajectories (positive increments normalized to sum B)
-    and compare the best sampled value with the closed form.  Deterministic
-    for a fixed seed."""
+    """Sample trajectories (positive increments normalized to sum B, ending
+    at B exactly) and compare the best admissible one's value with the
+    closed form (see `_best_of`).  Deterministic for a fixed seed."""
     _require_discrete(p)
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
@@ -365,16 +368,11 @@ def random_verify(p: VariationalProblem, samples: int, seed: int) -> OracleRepor
     n = len(p.ts.points) - 1
     rng = np.random.default_rng(seed)
     sign = 1.0 if extremum == "min" else -1.0
-    best_val, best_y = math.inf, None     # in sign-adjusted (minimization) terms
-    for start in range(0, samples, BATCH_ROWS):
-        W = 1.0 - rng.random((min(BATCH_ROWS, samples - start), n))  # in (0, 1]
-        vals, Y = _evaluate_rows(p, W / W.sum(axis=1, keepdims=True) * float(p.B),
-                                 sign)
-        i = int(np.argmin(vals))
-        if best_y is None or vals[i] < best_val:
-            best_val = float(vals[i])
-            best_y = Y[i].copy()
-    best_val *= sign
+    Ws = (1.0 - rng.random((min(BATCH_ROWS, samples - start), n))  # in (0, 1]
+          for start in range(0, samples, BATCH_ROWS))
+    best_val, best_y, _ = _best_of(
+        p, (W[:, :-1] / W.sum(axis=1, keepdims=True) * float(p.B) for W in Ws),
+        sign)
     return OracleReport(
         candidates_evaluated=samples,
         best_value_found=best_val,
@@ -403,26 +401,26 @@ def perturbation_verify(p: VariationalProblem, eps: float,
     is local: refuted means some neighbour beats the candidate by more than
     the slack, and `refuting_candidate` is the first such move.
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise PreconditionError("eps must be positive and finite")
     sol, closed, extremum = _closed_form(p)
     base = trajectory if trajectory is not None else sol.trajectory
     base_val = evaluate_functional(p, base)
     sign = 1.0 if extremum == "min" else -1.0
     n = len(p.ts.points)
-    interior = range(1, n - 1)
 
-    moves = []
-    for i in interior:
-        for s in (+1.0, -1.0):
-            moves.append(((i, s),))
+    # move r shifts columns cols[r] by signs[r] * eps: each interior column
+    # up, then down (alone: a second shift of sign 0), then seeded pairs
+    cols = np.repeat(np.arange(1, n - 1), 2)[:, None].repeat(2, axis=1)
+    signs = np.column_stack([np.tile([+1.0, -1.0], n - 2), np.zeros(len(cols))])
     rng = random.Random(seed)
-    for _ in range(pair_samples):
-        if n < 4:
-            break
-        i, j = rng.sample(list(interior), 2)
-        moves.append(((i, rng.choice((+1.0, -1.0))),
-                      (j, rng.choice((+1.0, -1.0)))))
+    pairs = []
+    for _ in range(pair_samples if n >= 4 else 0):
+        i, j = rng.sample(range(1, n - 1), 2)
+        pairs.append((i, j, rng.choice((+1.0, -1.0)), rng.choice((+1.0, -1.0))))
+    pairs = np.reshape(pairs, (-1, 4))
+    cols = np.concatenate([cols, pairs[:, :2].astype(np.intp)])
+    signs = np.concatenate([signs, pairs[:, 2:]])
 
     best_val = base_val
     best_y = base
@@ -433,9 +431,10 @@ def perturbation_verify(p: VariationalProblem, eps: float,
     step = max(1, min(BATCH_ROWS, _LEVEL_PAIRS // (2 * n)))
     # rows whose shift overflows are rejected by the walk, not warned about
     with np.errstate(all="ignore"):
-        for start in range(0, len(moves), step):
-            Y, vals = _admissible_moves(p, base.values,
-                                        moves[start:start + step], eps)
+        for start in range(0, len(cols), step):
+            block = slice(start, start + step)
+            Y, vals = _admissible_moves(p, base.values, cols[block],
+                                        signs[block], eps)
             signed = sign * vals
             # the first least value, as a running strict minimum finds it;
             # admissible rows have no NaN value, so argmin sees every row
@@ -448,7 +447,7 @@ def perturbation_verify(p: VariationalProblem, eps: float,
                 refuting = GridFunction(p.ts, Y[hit[0]].copy())
 
     return OracleReport(
-        candidates_evaluated=len(moves),
+        candidates_evaluated=len(cols),
         best_value_found=float(best_val),
         best_candidate=best_y,
         closed_form_value=closed,
@@ -458,28 +457,29 @@ def perturbation_verify(p: VariationalProblem, eps: float,
     )
 
 
-def _admissible_moves(p, base, moves, eps):
+def _admissible_moves(p, base, cols, signs, eps):
     """The moved trajectories, one row per move, and their values: base
-    with each (index, sign) of the move shifted by sign * e, e the first of
-    eps, eps / 2, ..., eps / 2**40 that makes the row admissible, valued in
-    the admissibility walk that accepts it.  PreconditionError when no e
-    does for some row."""
-    rows, cols, signs = map(np.array, zip(*[
-        (r, i, s) for r, move in enumerate(moves) for i, s in move]))
-    e = np.full(len(moves), float(eps))
-    Y = np.empty((len(moves), len(base)))
-    vals = np.empty(len(moves))
-    todo = np.arange(len(moves))
+    with columns cols[r] shifted by signs[r] * e (a sign 0 shifts nothing),
+    e the first of eps, eps / 2, ..., eps / 2**40 that makes row r
+    admissible, valued in the admissibility walk that accepts it.
+    PreconditionError when no e does for some row."""
+    e = np.full(len(cols), float(eps))
+    Y = np.empty((len(cols), len(base)))
+    vals = np.empty(len(cols))
+    pending = np.ones(len(cols), dtype=bool)
     for _ in range(41):
+        todo = np.flatnonzero(pending)
         Y[todo] = base
-        at = np.isin(rows, todo)
-        Y[rows[at], cols[at]] += signs[at] * e[rows[at]]
+        # a single move's second shift (sign 0) is skipped; a pair's differ
+        Y[todo, cols[todo, 0]] += signs[todo, 0] * e[todo]
+        two = todo[signs[todo, 1] != 0.0]
+        Y[two, cols[two, 1]] += signs[two, 1] * e[two]
         _, ok, _, v = _admissibility(p, Y[todo])
         vals[todo[ok]] = v
-        todo = np.delete(todo, ok)
-        if not len(todo):
+        pending[todo[ok]] = False
+        if not pending.any():
             return Y, vals
-        e[todo] *= 0.5
+        e[pending] *= 0.5
     raise PreconditionError("eps destroys admissibility even after 40 halvings")
 
 

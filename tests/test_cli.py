@@ -22,6 +22,19 @@ WORKED_PROBLEM = {
 }
 
 
+#: oracle files whose every candidate overflows, exp(y^Delta) with steps
+#: above ln(max float) ~ 709.8, though the closed form is finite
+_EXP = {"kind": "exp_derivative", "phi": {"family": "constant", "value": 1}}
+OVERFLOWING_ORACLES = [
+    dict(WORKED_PROBLEM, timescale={"kind": "uniform", "a": 0, "b": 50, "n": 50},
+         problem=dict(_EXP, B=30000),
+         oracle={"mode": "random", "samples": 200, "seed": 1}),
+    dict(WORKED_PROBLEM, timescale={"kind": "uniform", "a": 0, "b": 2, "n": 2},
+         problem=dict(_EXP, B=1400),
+         oracle={"mode": "exhaustive", "resolution": 1400 / 3}),
+]
+
+
 WEIGHTED_CHECK = {
     "schema_version": "1",
     "timescale": {"kind": "custom", "atoms": [0, 1, 2]},
@@ -505,6 +518,15 @@ class TestVerify:
         assert code == 3
         assert out == "" and err.startswith("error[precondition]")
 
+    @pytest.mark.parametrize("payload", OVERFLOWING_ORACLES,
+                             ids=["random", "exhaustive"])
+    def test_no_admissible_candidate_exit_3(self, tmp_path, capsys, payload):
+        # no vacuous certificate with an infinite best value
+        f = write_json(tmp_path / "p.json", payload)
+        code, out, err = run_cli(["verify", f], capsys)
+        assert code == 3
+        assert out == "" and "integrand is not finite" in err
+
     def test_missing_oracle_exit_2(self, tmp_path, capsys):
         f = write_json(tmp_path / "p.json", WORKED_PROBLEM)
         code, _, _ = run_cli(["verify", f], capsys)
@@ -593,6 +615,8 @@ _FUZZ_BASES = [
                                           "f": [1e154, 1e154]})),
     ("check", dict(WEIGHTED_CHECK, check={"kind": "xlogx",
                                           "f": [1e305, 1e305]})),
+    # oracles whose candidates overflow
+    *[("verify", payload) for payload in OVERFLOWING_ORACLES],
 ]
 
 #: strings the parser knows, so a fuzzed file also reaches other branches

@@ -35,6 +35,7 @@ from generators import random_admissible_trajectory
 from tsvar.roots import invert_increasing
 from tsvar.solvers import weight_antiderivative
 import tsvar.solvers as solvers
+import tsvar.timescale as timescale
 
 
 def worked_problem():
@@ -454,17 +455,36 @@ class TestAdmissible:
         assert admissible(p, y) is False
         with pytest.raises(DomainError, match="grid values must be finite"):
             evaluate_functional(p, y)
-        assert evaluate_functional(p, y, check_admissible=False) == 2.0
 
-    def test_unchecked_overflow_is_silent(self):
-        # exp(y^Delta) overflows on an interval, where the quadrature meets
-        # it times zero graininess: the value is NaN, with no warning
+    def test_overflow_on_interval_raises_silently(self):
+        # exp(y^Delta) overflows on an interval, where the quadrature would
+        # meet it times zero graininess: a DomainError, with no warning
         p = VariationalProblem("exp_derivative", real_interval(0, 1, 5), 1.0,
                                Constant(1.0))
         y = np.array([0.0, 0.25, 800.0, 0.75, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isnan(evaluate_functional(p, y, check_admissible=False))
+            with pytest.raises(DomainError, match="integrand is not finite"):
+                evaluate_functional(p, y)
+
+    def test_one_segment_per_walk(self, monkeypatch):
+        # the power-weighted walk checks phi's domain at both ends of each
+        # jump's segment and averages phi over it, from one segment
+        p = VariationalProblem("power_weighted", uniform(0, 2, 4), 2.0, Exp(),
+                               alpha=2.0)
+        Y = np.stack([solve(p).trajectory.values] * 3)
+        calls = []
+        real = solvers.averaging_segment
+
+        def spy(*args):
+            calls.append(np.shape(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(solvers, "averaging_segment", spy)
+        monkeypatch.setattr(timescale, "averaging_segment", spy)
+        evaluate_functional(p, Y)
+        admissible(p, Y[0])
+        assert calls == [(3, 4), (1, 4)]
 
     def test_first_condition_wins_over_first_row(self):
         # row 0 is not increasing and row 1 misses y(a): the y(a) check
@@ -509,7 +529,6 @@ class TestAdmissible:
             mask = admissible(p, Y)
             ok = [self._error(p, row) is None for row in Y]
             _, rows, _, values = solvers._admissibility(p, Y)
-            evaluate_functional(p, Y, check_admissible=False)
         assert mask.tolist() == ok
         assert 0 < sum(ok) < len(ok)
         np.testing.assert_array_equal(

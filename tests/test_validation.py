@@ -13,6 +13,7 @@ from tsvar import (
     Affine,
     BudgetError,
     Constant,
+    DomainError,
     Exp,
     FeasibilityError,
     GridFunction,
@@ -93,6 +94,20 @@ class TestExhaustive:
     def test_bad_resolution(self):
         with pytest.raises(PreconditionError):
             exhaustive_verify(worked_problem(), resolution=0.0)
+
+    @pytest.mark.parametrize("resolution", [math.nan, math.inf])
+    def test_nonfinite_resolution(self, resolution):
+        with pytest.raises(PreconditionError,
+                           match="resolution must be positive and finite"):
+            exhaustive_verify(worked_problem(), resolution)
+
+    def test_no_admissible_candidate_raises(self):
+        # the closed form is finite, but both lattice candidates' exp(y^Delta)
+        # overflow: the walk's first error, not a vacuous certificate
+        p = VariationalProblem("exp_derivative", uniform(0, 2, 2), 1400.0,
+                               Constant(1.0))
+        with pytest.raises(DomainError, match="integrand is not finite"):
+            exhaustive_verify(p, 1400 / 3)
 
     def test_float_near_ties(self):
         # the three unit-lattice candidates, increments (1, 1, 2), (1, 2, 1)
@@ -294,6 +309,52 @@ class TestRandom:
         assert rep.certified
         assert rep.best_value_found <= rep.closed_form_value + 1e-9
 
+    def test_no_admissible_sample_raises(self):
+        # the closed form is finite, but every sample's exp(y^Delta)
+        # overflows: the walk's first error, not a vacuous certificate
+        p = VariationalProblem("exp_derivative", uniform(0, 50, 50), 30000.0,
+                               Constant(1.0))
+        with pytest.raises(DomainError, match="integrand is not finite"):
+            random_verify(p, 200, 1)
+
+    def test_blocks_without_admissible_rows_are_skipped(self, monkeypatch):
+        # one sample a block, about half of which overflow
+        monkeypatch.setattr(validation, "BATCH_ROWS", 1)
+        admitted = []
+        real = validation._admissibility
+
+        def spy(problem, Y):
+            out = real(problem, Y)
+            admitted.append(len(out[1]))
+            return out
+
+        monkeypatch.setattr(validation, "_admissibility", spy)
+        p = VariationalProblem("exp_derivative", uniform(0, 2, 2), 1000.0,
+                               Constant(1.0))
+        rep = random_verify(p, 20, 0)
+        assert rep.certified and math.isfinite(rep.best_value_found)
+        assert 0 in admitted and 1 in admitted
+
+    def test_candidates_end_at_B(self, monkeypatch):
+        # at B = 1e8 a running sum of 199 increments misses B by more than
+        # BOUNDARY_TOL on most rows: each sample ends at B by construction,
+        # so the walk admits all of them
+        p = VariationalProblem("xlogx_shifted", uniform(0, 10, 199), 1e8,
+                               Constant(1.0))
+        walks = []
+        real = validation._admissibility
+
+        def spy(problem, Y):
+            out = real(problem, Y)
+            walks.append((len(out[1]), len(Y)))
+            return out
+
+        monkeypatch.setattr(validation, "_admissibility", spy)
+        rep = random_verify(p, 200, 0)
+        assert rep.certified
+        assert rep.best_candidate.values[-1] == 1e8
+        assert walks == [(200, 200)]
+
     def test_bad_samples(self):
         with pytest.raises(PreconditionError):
             random_verify(worked_problem(), samples=0, seed=1)
@@ -352,7 +413,7 @@ class TestDiscreteObjective:
         W = 1.0 - rng.random((20, len(ts.points) - 1))
         D = W / W.sum(axis=1, keepdims=True) * B
         Y = np.concatenate([np.zeros((len(D), 1)), np.cumsum(D, axis=1)], axis=1)
-        batched = evaluate_functional(p, Y, check_admissible=False)
+        batched = evaluate_functional(p, Y)
         assert batched.shape == (20,)
         for row, v in zip(Y, batched):
             assert evaluate_functional(p, GridFunction(ts, row)) == \
@@ -393,6 +454,14 @@ class TestPerturbation:
     def test_bad_eps(self):
         with pytest.raises(PreconditionError):
             perturbation_verify(worked_problem(), eps=-1.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_nonfinite_eps(self, eps, monkeypatch):
+        # rejected before any walk, not blamed after 40 halvings
+        monkeypatch.setattr(validation, "_admissibility", None)
+        with pytest.raises(PreconditionError,
+                           match="eps must be positive and finite"):
+            perturbation_verify(worked_problem(), eps)
 
     def test_unexpected_error_propagates(self, monkeypatch):
         # only admissibility and domain failures shrink eps; anything else
@@ -514,17 +583,17 @@ class TestBatchedPerturbation:
         real_walk = validation._admissibility
         real_build = solvers.gap_integrand
 
-        def evaluate(problem, y, check_admissible=True):
+        def evaluate(problem, y):
             events.append(("evaluate", y))
-            return real_evaluate(problem, y, check_admissible)
+            return real_evaluate(problem, y)
 
         def walk(problem, y):
             events.append(("walk", len(y)))
             return real_walk(problem, y)
 
-        def build(problem, y, *args):
-            events.append(("integrand", len(y)))
-            return real_build(problem, y, *args)
+        def build(problem, d, w):
+            events.append(("integrand", len(d)))
+            return real_build(problem, d, w)
 
         monkeypatch.setattr(validation, "evaluate_functional", evaluate)
         monkeypatch.setattr(validation, "_admissibility", walk)
