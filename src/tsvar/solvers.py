@@ -84,8 +84,20 @@ def _phi_on_kappa(p):
         return np.asarray(p.phi(p.ts.kappa_points()), dtype=float)
 
 
-def _solution(traj, extremum, span, C, value):
-    """The Solution with optimal value value(span, C), which must be finite."""
+def _misses_b(p, yb):
+    """Where the values yb at b miss B by more than BOUNDARY_TOL: the walk's
+    boundary rule, which every solver also applies to its own trajectory."""
+    return np.abs(yb - p.B) > BOUNDARY_TOL
+
+
+def _solution(p, traj, extremum, span, C, value):
+    """The Solution with optimal value value(span, C), which must be finite,
+    on a trajectory that meets the boundary rule at b."""
+    yb = float(traj.values[-1])
+    if _misses_b(p, yb):
+        raise DomainError(f"the closed form misses y(b) = B = {p.B} by "
+                          f"{abs(yb - p.B)} (y(b) = {yb}), more than "
+                          f"{BOUNDARY_TOL}")
     try:
         v = value(span, C)
     except OverflowError:
@@ -141,7 +153,7 @@ def solve_power_weighted(p: VariationalProblem) -> Solution:
     traj = GridFunction(ts, yvals)
     _require_increasing(ts, ts.delta_derivative_grid(traj))
     extremum = "min" if (alpha < 0.0 or alpha > 1.0) else "max"
-    return _solution(traj, extremum, span, C, lambda span, C: span * C ** alpha)
+    return _solution(p, traj, extremum, span, C, lambda span, C: span * C ** alpha)
 
 
 def _jensen_equality(p, g, value, increasing=False):
@@ -180,7 +192,7 @@ def _jensen_equality(p, g, value, increasing=False):
     traj = GridFunction(ts, yvals)
     if increasing:
         _require_increasing(ts, ts.delta_derivative_grid(traj))
-    return _solution(traj, "min", span, C, value)
+    return _solution(p, traj, "min", span, C, value)
 
 
 def solve_exp_derivative(p: VariationalProblem) -> Solution:
@@ -201,7 +213,7 @@ def solve_xlogx_shifted(p: VariationalProblem) -> Solution:
 def _not_increasing(ts, d):
     """Where the delta derivatives d, of shape (..., n), are not strictly
     positive on [a, b]^kappa: a mask of shape (..., kappa points)."""
-    return d[..., :len(ts.kappa_indices())] <= POSITIVITY_TOL
+    return d[..., :len(ts.kappa_points())] <= POSITIVITY_TOL
 
 
 def _increase_error(ts, flat):
@@ -259,7 +271,7 @@ def _admissibility(p: VariationalProblem, y):
     oracle's time follows the heap's peak."""
     ts = p.ts
     yvals = _grid_values(ts, y)
-    kap = slice(len(ts.kappa_indices()))
+    kap = slice(len(ts.kappa_points()))
     Y = yvals.reshape(-1, yvals.shape[-1])
     rows, error = np.arange(len(Y)), None
 
@@ -276,7 +288,7 @@ def _admissibility(p: VariationalProblem, y):
         drop(np.abs(Y[:, 0]) > POSITIVITY_TOL,
              lambda: AdmissibilityError("y(a) must be 0", point=ts.a,
                                         condition="y(a) = 0"))
-        off = np.abs(Y[:, -1] - p.B) > BOUNDARY_TOL
+        off = _misses_b(p, Y[:, -1])
         drop(off, lambda: AdmissibilityError(
             f"y(b) = {float(Y[off, -1][0])} differs from B = {p.B}",
             point=ts.b, condition="y(b) = B"))

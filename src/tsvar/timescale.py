@@ -108,6 +108,7 @@ class TimeScale:
         pts = np.sort(np.concatenate([kept, seg[~shared, 0], seg[:, 1:].ravel()]))
         if np.any(np.diff(pts) <= 0):
             raise ConstructionError("evaluation points are not strictly increasing")
+        pts.flags.writeable = False  # kappa_points hands out views of it
         self.points = pts
         self.atoms = tuple(kept.tolist())
         self.intervals = tuple(map(tuple, iv.tolist()))
@@ -115,9 +116,10 @@ class TimeScale:
         # (start, stop) grid-index pair of every interval's nodes
         stop = np.searchsorted(pts, hi) + 1
         self._spans = np.stack([stop - nodes, stop], axis=1)
-        # graininess: zero on every interval gap and at the max point
-        # (sigma(b) = b by convention)
-        mu = np.append(np.diff(pts), 0.0)
+        # the grid's gaps; graininess is zero on every interval gap and at
+        # the max point (sigma(b) = b by convention)
+        self._gaps = np.diff(pts)
+        mu = np.append(self._gaps, 0.0)
         mu[(self._spans[:, :1] + np.arange(nodes - 1)).ravel()] = 0.0
         self._mu = mu
 
@@ -168,13 +170,11 @@ class TimeScale:
 
     def kappa_indices(self):
         """Indices of [a, b]^kappa: all points, minus b when b is left-scattered."""
-        n = len(self.points)
-        if self.b_left_scattered:
-            return np.arange(n - 1)
-        return np.arange(n)
+        return np.arange(len(self.kappa_points()))
 
     def kappa_points(self):
-        return self.points[self.kappa_indices()]
+        """The points of [a, b]^kappa, as a view of ``points``."""
+        return self.points[:len(self.points) - self.b_left_scattered]
 
     # -- jump operators ---------------------------------------------------
 
@@ -269,7 +269,7 @@ class TimeScale:
         vals = _grid_values(self, y)
         out = np.empty_like(vals)
         np.subtract(vals[..., 1:], vals[..., :-1], out=out[..., :-1])
-        out[..., :-1] /= np.diff(self.points)
+        out[..., :-1] /= self._gaps
         out[..., -1] = np.nan
         if self.intervals:
             idx, f, h = self._intervals_on_grid(vals)

@@ -210,7 +210,7 @@ class _Lattice:
     def __init__(self, p, sign, bound, resolution):
         self.p, self.sign, self.bound = p, sign, bound
         self.n = n = len(p.ts.points) - 1
-        self.mu = np.diff(p.ts.points)
+        self.mu = p.ts._gaps
         self.phi = (None if p.kind == "power_weighted"
                     else _phi_on_kappa(p))
         self.levels = np.append(np.arange(bound + 1) * resolution, float(p.B))

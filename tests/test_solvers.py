@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import warnings
@@ -32,6 +33,7 @@ from tsvar import (
     uniform,
 )
 from generators import random_admissible_trajectory
+from tsvar import cli
 from tsvar.roots import invert_increasing
 from tsvar.solvers import weight_antiderivative
 import tsvar.solvers as solvers
@@ -257,6 +259,49 @@ class TestDegenerateAndOverflow:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=r"phi must be positive on \[0, B\]"):
                 solve(p)
+
+
+def long_q_problem():
+    # b ~ 1.04e16: C (t - a) and the integral of ln(phi) cancel at ~1e18,
+    # so the closed form's y(b) rounds to 128 instead of B
+    return VariationalProblem("exp_derivative", timescale.q_scale(1.5065, 0, 90),
+                              92.76, Polynomial([1, 0.768, 0.00807]))
+
+
+class TestBoundaryResidual:
+    def test_long_q_scale_misses_B(self):
+        p = long_q_problem()
+        with pytest.raises(DomainError, match=r"misses y\(b\) = B = 92\.76 by "
+                                              r"35\.2\d* \(y\(b\) = 128\.0\)"):
+            solve(p)
+        # the rule is the walk's: the trajectory it rejects is inadmissible
+        with pytest.raises(AdmissibilityError, match=r"y\(b\) = 128\.0"):
+            evaluate_functional(p, np.append(np.linspace(0, 92.76, 90), 128.0))
+
+    def test_long_q_scale_exit_3(self, tmp_path, capsys):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({
+            "schema_version": "1",
+            "timescale": {"kind": "q_scale", "q": 1.5065, "n": 0, "m": 90},
+            "problem": {"kind": "exp_derivative", "B": 92.76,
+                        "phi": {"family": "polynomial",
+                                "coefficients": [1, 0.768, 0.00807]}}}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", str(f), "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert exc.value.code == 3
+        assert err.startswith("error[precondition]: the closed form misses")
+        assert not (tmp_path / "out").exists()
+
+    def test_power_weighted_checks_its_root(self, monkeypatch):
+        # a root finder that lands 1e-6 off G^{-1} fails the rule at b
+        off = lambda *a, **kw: invert_increasing(*a, **kw) + 1e-6
+        monkeypatch.setattr(solvers, "invert_increasing", off)
+        p = VariationalProblem("power_weighted", uniform(0, 1, 4), 2.0,
+                               Constant(1.0), alpha=2.0)
+        with pytest.raises(DomainError, match=r"misses y\(b\) = B = 2\.0 by 9\.99999\d*e-07"):
+            solve(p)
+
 
 class TestEvaluateFunctional:
     def test_worked_optimal_trajectory(self):
