@@ -259,8 +259,9 @@ def write_trajectory_csv(path, ts, traj):
                                     for col in (ts.points, traj.values, d)])
             template = "".join([_CSV_ROW_NO_DELTA if u else _CSV_ROW
                                 for u in np.isnan(rows[:, 2]).tolist()])
-            # t and y are finite, so the NaNs dropped are the undefined y_delta
-            fh.write(template % tuple(rows[~np.isnan(rows)].tolist()))
+            keep = ~np.isnan(rows)  # drop the undefined y_delta, no t or y
+            keep[:, :2] = True
+            fh.write(template % tuple(rows[keep].tolist()))
 
 
 def read_trajectory_csv(path, ts):

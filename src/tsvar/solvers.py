@@ -90,14 +90,25 @@ def _misses_b(p, yb):
     return np.abs(yb - p.B) > BOUNDARY_TOL
 
 
-def _solution(p, traj, extremum, span, C, value):
-    """The Solution with optimal value value(span, C), which must be finite,
-    on a trajectory that meets the boundary rule at b."""
+def _trajectory(p, yvals):
+    """The closed form's values yvals as a GridFunction that meets the
+    walk's boundary rule at b.  A miss past BOUNDARY_TOL but within
+    BOUNDARY_TOL * max(1, |B|) is rounding at the scale of B, and y(b) is
+    set to B; a larger one is cancellation, and raises DomainError.  A miss
+    the rule admits is kept, so the trajectory stays the closed form's."""
+    traj = GridFunction(p.ts, yvals)
     yb = float(traj.values[-1])
-    if _misses_b(p, yb):
+    miss, tol = abs(yb - p.B), BOUNDARY_TOL * max(1.0, abs(p.B))
+    if miss > tol:
         raise DomainError(f"the closed form misses y(b) = B = {p.B} by "
-                          f"{abs(yb - p.B)} (y(b) = {yb}), more than "
-                          f"{BOUNDARY_TOL}")
+                          f"{miss} (y(b) = {yb}), more than {tol}")
+    if _misses_b(p, yb):
+        traj.values[-1] = p.B
+    return traj
+
+
+def _solution(p, traj, extremum, span, C, value):
+    """The Solution with optimal value value(span, C), which must be finite."""
     try:
         v = value(span, C)
     except OverflowError:
@@ -150,7 +161,7 @@ def solve_power_weighted(p: VariationalProblem) -> Solution:
     # doubling, which still orders correctly against every finite target
     with np.errstate(over="ignore"):
         yvals[pos] = invert_increasing(G, target[pos], 0.0, gprime=phi)
-    traj = GridFunction(ts, yvals)
+    traj = _trajectory(p, yvals)
     _require_increasing(ts, ts.delta_derivative_grid(traj))
     extremum = "min" if (alpha < 0.0 or alpha > 1.0) else "max"
     return _solution(p, traj, extremum, span, C, lambda span, C: span * C ** alpha)
@@ -189,7 +200,7 @@ def _jensen_equality(p, g, value, increasing=False):
                 point=t_bad,
             )
     yvals[0] = 0.0
-    traj = GridFunction(ts, yvals)
+    traj = _trajectory(p, yvals)
     if increasing:
         _require_increasing(ts, ts.delta_derivative_grid(traj))
     return _solution(p, traj, "min", span, C, value)

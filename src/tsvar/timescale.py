@@ -119,6 +119,7 @@ class TimeScale:
         # the grid's gaps; graininess is zero on every interval gap and at
         # the max point (sigma(b) = b by convention)
         self._gaps = np.diff(pts)
+        self._gaps.flags.writeable = False  # shared with the lattice DP
         mu = np.append(self._gaps, 0.0)
         mu[(self._spans[:, :1] + np.arange(nodes - 1)).ravel()] = 0.0
         self._mu = mu

@@ -293,6 +293,22 @@ class TestBoundaryResidual:
         assert err.startswith("error[precondition]: the closed form misses")
         assert not (tmp_path / "out").exists()
 
+    def test_large_B_rounding_sets_y_b(self):
+        # C = 2**27 / 49 and C * 49 rounds one ulp below B, 1.5e-8 off: a
+        # miss past BOUNDARY_TOL but within rounding of B, so y(b) = B
+        p = VariationalProblem("power_weighted", uniform(0, 49, 3), 2.0 ** 27,
+                               Constant(1.0), alpha=2.0)
+        sol = solve(p)
+        assert sol.trajectory.values[-1] == 2.0 ** 27
+        assert evaluate_functional(p, sol.trajectory) == pytest.approx(
+            sol.optimal_value, rel=1e-12)
+
+    def test_admitted_miss_is_kept(self):
+        # y(b) = B - 5.6e-17 passes the rule, so the closed form stays as is
+        p = VariationalProblem("exp_derivative", uniform(0, 1, 3), 0.3,
+                               Affine(0.1, 1.0))
+        assert solve(p).trajectory.values[-1] == 0.3 - 2.0 ** -54
+
     def test_power_weighted_checks_its_root(self, monkeypatch):
         # a root finder that lands 1e-6 off G^{-1} fails the rule at b
         off = lambda *a, **kw: invert_increasing(*a, **kw) + 1e-6

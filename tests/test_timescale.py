@@ -364,6 +364,13 @@ class TestDeltaDerivative:
         for t in ts.kappa_points():
             assert ts.delta_derivative(y, t) == 0
 
+    def test_shared_arrays_are_read_only(self):
+        # kappa_points and the lattice DP hold views of the scale's arrays
+        ts = custom(atoms=[0, 0.4, 2])
+        for shared in (ts.points, ts.kappa_points(), ts._gaps):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 1.0
+
     def test_linear_on_interval(self):
         ts = real_interval(0, 1, 65)
         y = GridFunction(ts, ts.points)

@@ -91,6 +91,18 @@ class TestSameBytes:
         assert rows[1 + 1].split(b",")[2] == cell
         assert rows[1 + BLOCK].split(b",")[2] == cell
 
+    def test_nan_value_written_as_nan(self, tmp_path):
+        # GridFunction admits only finite values; one changed after the
+        # check still writes nan, and only an undefined y_delta is empty
+        ts = uniform(0.0, 3.0, 3)
+        traj = GridFunction(ts, [0.0, 1.0, 2.0, 3.0])
+        traj.values[1] = np.nan
+        ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+        write_trajectory_csv_per_row(ref, ts, traj)
+        cli.write_trajectory_csv(new, ts, traj)
+        assert new.read_bytes() == ref.read_bytes()
+        assert new.read_bytes().split(b"\r\n")[2] == b"1,nan,"
+
 
 class TestReadBack:
     @pytest.mark.parametrize("kind", SCALES)
