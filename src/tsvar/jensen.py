@@ -79,7 +79,7 @@ def _overflow_checked(checker):
 def _kappa_integral(ts, v):
     """Delta integral of values given on [a, b]^kappa, not required to be
     finite as in a GridFunction, so an overflow reaches the checks."""
-    return ts.delta_integral(pad_kappa(v, len(ts.points)))
+    return ts.delta_integral(pad_kappa(v, ts))
 
 
 def _as_grid(ts, f):

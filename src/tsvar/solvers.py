@@ -152,6 +152,7 @@ def solve_power_weighted(p: VariationalProblem) -> Solution:
         C = float(G(B)) / span
     if np.any(probe <= 0.0):
         raise DomainError("phi must be positive on [0, B]")
+    phi.check_domain(np.linspace(0.0, B, 257))
     if not math.isfinite(C):
         raise DomainError(f"C = {C} is not finite")
     target = C * (ts.points - ts.a)

@@ -291,12 +291,12 @@ class GridFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n = len(self.timescale.points)
-        vals = pad_kappa(self.values, n)
-        if len(vals) != n:
-            raise DomainError(
-                f"expected {n} (or {n - 1}) values, got {len(self.values)}"
-            )
+        ts = self.timescale
+        vals = pad_kappa(self.values, ts)
+        if len(vals) != len(ts.points):
+            lengths = sorted({len(ts.points), len(ts.kappa_points())})
+            raise DomainError(f"expected {' or '.join(map(str, lengths))} "
+                              f"values, got {len(self.values)}")
         if not np.all(np.isfinite(vals)):
             raise DomainError("grid values must be finite")
         object.__setattr__(self, "values", vals)
@@ -313,11 +313,12 @@ class GridFunction:
         return float(np.max(self.values) - np.min(self.values))
 
 
-def pad_kappa(vals, n):
-    """vals as floats; n - 1 of them (data on [a, b]^kappa, b left-scattered)
+def pad_kappa(vals, ts):
+    """vals as floats; values on [a, b]^kappa without b (b left-scattered)
     are padded by repeating the last at b, which no integral reads."""
     vals = np.asarray(vals, dtype=float)
-    return np.append(vals, vals[-1:]) if len(vals) == n - 1 else vals
+    short = len(vals) == len(ts.kappa_points()) < len(ts.points)
+    return np.append(vals, vals[-1:]) if short else vals
 
 
 def _grid_values(ts, f):

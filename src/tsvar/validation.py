@@ -30,13 +30,18 @@ CERTIFY_SLACK = 1e-9
 #: perturbation mode: a candidate is refuted if some neighbour improves by more
 PERTURB_SLACK = 1e-12
 
-#: candidate rows per admissibility walk in the exhaustive and random modes,
-#: which bounds their working memory
-BATCH_ROWS = 4096
+#: values per block of candidates (and level pairs per tile of the
+#: exhaustive mode's dynamic programme), which bounds every oracle's
+#: working memory: 2**14 float64 is 128 KB, glibc's default mmap threshold,
+#: so a block's arrays reuse heap memory instead of taking fresh pages on
+#: each block (blocks 2x this were 1.2-2x slower at 300-3000 atoms on a
+#: 2-vCPU x86-64 machine)
+BLOCK_VALUES = 2 ** 14
 
-#: level pairs per block of the exhaustive mode's dynamic programme: as
-#: many cells as BATCH_ROWS candidate rows of 8 values, so the same memory
-_LEVEL_PAIRS = 8 * BATCH_ROWS
+
+def _rows(width):
+    """Rows of `width` values per block: BLOCK_VALUES values, or one row."""
+    return max(1, BLOCK_VALUES // width)
 
 
 @dataclass(frozen=True)
@@ -67,29 +72,35 @@ class OracleReport:
 
 
 def _require_discrete(p, max_atoms=None):
-    ts = p.ts
-    if not ts.is_discrete:
+    if not p.ts.is_discrete:
         raise PreconditionError("oracle requires a purely discrete time scale")
-    if max_atoms is not None and len(ts.points) > max_atoms:
+    if max_atoms is not None and len(p.ts.points) > max_atoms:
         raise PreconditionError(f"oracle limited to {max_atoms} atoms")
 
 
-def _best_of(p, heads, sign):
+def _best_of(p, blocks, sign):
     """(value, trajectory, near) of the best trajectory, least in
     sign-adjusted terms and first in order, among those whose first n-1
-    increments are the rows of the head blocks and which end at B exactly,
-    as the admissibility walk values them; near counts the values within
-    CERTIFY_SLACK of the best.  The walk skips inadmissible rows, and if no
-    row is admissible its first error is raised (no row: trajectory None)."""
+    increments are the rows of the blocks and which end at B exactly, as
+    the admissibility walk values them, `_rows(n + 1)` rows a walk; near
+    counts the values within CERTIFY_SLACK of the best.  The walk skips
+    inadmissible rows, and if no row is admissible its first error is
+    raised (no row: trajectory None)."""
     best_val, best_y, error = math.inf, None, None
     near = np.empty(0)         # values within CERTIFY_SLACK of the running best
-    for head in heads:
+    step = _rows(len(p.ts.points))
+    for head in (b[s:s + step] for b in blocks for s in range(0, len(b), step)):
         # column-major, so the kernels' row-wise operations run over long
-        # contiguous columns instead of many short rows
-        Y = np.zeros((len(head), head.shape[1] + 2), order="F")
-        np.cumsum(head, axis=1, out=Y[:, 1:-1])
+        # contiguous columns instead of many short rows, and each row sums
+        # its terms in order; a lone row is walked twice, as numpy would
+        # sum it pairwise, so no row's value depends on its block's size
+        k = len(head)
+        Y = np.zeros((k + (k == 1), head.shape[1] + 2), order="F")
+        np.cumsum(head, axis=1, out=Y[:k, 1:-1])
+        Y[k:, 1:-1] = Y[:1, 1:-1]
         Y[:, -1] = p.B
         _, rows, err, vals = _admissibility(p, Y)
+        rows, vals = rows[rows < k], vals[rows < k]
         error = error or err
         if not len(rows):
             continue
@@ -110,12 +121,16 @@ def _closed_form(p):
     return sol, float(sol.optimal_value), sol.extremum
 
 
-def _verdict(best, closed, extremum):
+def _global_report(p, count, best, best_y, closed, extremum, mode, **more):
+    """A global mode's report on its best value and trajectory values:
+    certified unless the best beats the closed form by more than
+    CERTIFY_SLACK."""
     if extremum == "min":
         ok = best >= closed - CERTIFY_SLACK
     else:
         ok = best <= closed + CERTIFY_SLACK
-    return "certified" if ok else "refuted"
+    return OracleReport(count, best, GridFunction(p.ts, best_y), closed,
+                        "certified" if ok else "refuted", mode, **more)
 
 
 def exhaustive_verify(p: VariationalProblem, resolution: float,
@@ -137,9 +152,10 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
     computed value (largest for a maximum); `optima_count` counts the
     candidates within CERTIFY_SLACK of it.  An empty lattice (no n-1
     positive increments leave a positive tail) raises PreconditionError,
-    and a lattice too fine to count BudgetError.  Working memory stays
-    within blocks of BATCH_ROWS candidates, and of as many level pairs as
-    such a block holds values, apart from vectors with one entry per level.
+    and a lattice too fine to count BudgetError.  Candidates go in blocks
+    of `_rows(n + 1)` rows, and the programme's level pairs in tiles of
+    BLOCK_VALUES, so working memory stays within BLOCK_VALUES values a
+    block apart from vectors with one entry per level.
     """
     _require_discrete(p, max_atoms=8)
     if not 0 < resolution < math.inf:
@@ -178,21 +194,9 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
         raise PreconditionError(
             f"no lattice candidate: B = {B} at resolution {resolution} leaves "
             f"no positive last increment after {n - 1} positive ones")
-    return OracleReport(
-        candidates_evaluated=count,
-        best_value_found=best_val,
-        best_candidate=GridFunction(p.ts, best_y),
-        closed_form_value=closed,
-        verdict=_verdict(best_val, closed, extremum),
-        mode=f"exhaustive(resolution={resolution})",
-        optima_count=near,
-    )
-
-
-def _chunks(levels):
-    """Consecutive pieces of at most _LEVEL_PAIRS levels."""
-    return [levels[i:i + _LEVEL_PAIRS]
-            for i in range(0, len(levels), _LEVEL_PAIRS)]
+    return _global_report(p, count, best_val, best_y, closed, extremum,
+                          f"exhaustive(resolution={resolution})",
+                          optima_count=near)
 
 
 class _Lattice:
@@ -240,9 +244,7 @@ class _Lattice:
         # the nominal ends, then the two far corners of the shifted ends
         self.shift = np.array([0.0, -1.0, 1.0])[:, None, None] * eps
         self.rho = 4 * (n + 8) * u
-        # lower bounds of the gaps whose table fits in one block, kept for
-        # the walk: gap i -> (its first row level, first column level, table)
-        self.tables = {}
+        self.tables = {}              # gap -> (low, high) of all its level pairs
 
     def _span(self, c):
         """Range of level indices that cut c can take."""
@@ -273,6 +275,30 @@ class _Lattice:
         low[off] = high[off] = np.inf
         return low, high
 
+    def _tiles(self, i, js):
+        """Gap i's term bounds from levels js to the levels of cut i + 1
+        above the least of them, in tiles (r, ks, low, high): `_terms` of
+        the rows js[r] and the consecutive levels ks.  A tile has at most
+        `_rows(levels of cut i + 1)` rows and BLOCK_VALUES level pairs, or
+        one row.  A tile of all of a gap's level pairs, which the cost-to-go
+        pass makes when they fit in one, is kept in `tables`, and the gap's
+        later tiles are read from it."""
+        (j0, j1), (k0, k1) = self._span(i), self._span(i + 1)
+        step = _rows(k1 - k0 + 1)
+        for start in range(0, len(js), step):
+            r = slice(start, start + step)
+            ks = np.arange(max(k0, int(js[r].min()) + 1), k1 + 1)
+            cols = _rows(len(js[r]))
+            for kc in (ks[c:c + cols] for c in range(0, len(ks), cols)):
+                if i in self.tables:
+                    at = np.ix_(js[r] - j0, kc - k0)
+                    yield (r, kc, *(t[at] for t in self.tables[i]))
+                    continue
+                low, high = self._terms(i, js[r], kc)
+                if low.size == (j1 - j0 + 1) * (k1 - k0 + 1):
+                    self.tables[i] = low, high
+                yield r, kc, low, high
+
     def _cost_to_go(self):
         """Lower-bound cost-to-go of every cut level, per cut index, and
         the least upper-bound total over all candidates.  ctg[c][j - j0]
@@ -280,29 +306,19 @@ class _Lattice:
         low = high = np.zeros(1)              # cut n is B, with nothing after
         self.ctg = [None] * self.n + [low]
         for i in range(self.n - 1, -1, -1):
-            (j0, j1), (k0, k1) = self._span(i), self._span(i + 1)
+            (j0, j1), (k0, _) = self._span(i), self._span(i + 1)
             nxt_low, nxt_high = low, high
             low, high = np.full(j1 - j0 + 1, np.inf), np.full(j1 - j0 + 1, np.inf)
-            step = max(1, _LEVEL_PAIRS // (k1 - k0 + 1))
-            for start in range(j0, j1 + 1, step):
-                js = np.arange(start, min(start + step, j1 + 1))
-                ks = np.arange(max(k0, start + 1), k1 + 1)
-                for kc in _chunks(ks):
-                    l, h = self._terms(i, js, kc)
-                    if l.size == (j1 - j0 + 1) * len(ks):   # the whole table
-                        self.tables[i] = (j0, kc[0], l)
-                    rows = js - j0
-                    low[rows] = np.minimum(low[rows],
-                                           (l + nxt_low[kc - k0]).min(axis=1))
-                    high[rows] = np.minimum(high[rows],
-                                            (h + nxt_high[kc - k0]).min(axis=1))
+            for r, ks, l, h in self._tiles(i, np.arange(j0, j1 + 1)):
+                low[r] = np.minimum(low[r], (l + nxt_low[ks - k0]).min(axis=1))
+                high[r] = np.minimum(high[r], (h + nxt_high[ks - k0]).min(axis=1))
             self.ctg[i] = low
         return float(high[0])
 
     def near_optimal_cuts(self):
         """Every cut row whose lower bound lies within CERTIFY_SLACK of the
-        least upper bound, in lexicographic order, in blocks of at most
-        BATCH_ROWS rows.
+        least upper bound, in lexicographic order, in blocks: the children
+        of one tile's rows, at most BLOCK_VALUES of them.
 
         In nominal terms a prefix is kept while prefix + term + cost-to-go
         <= optimum + CERTIFY_SLACK + 2 delta, with the delta of the prefix's
@@ -311,54 +327,43 @@ class _Lattice:
         its lower bound is at most its computed value, the best is at most
         the computed value of the candidate with the least upper bound, and
         that is at most its upper bound.  Prefixes are expanded depth first,
-        so only the open prefixes of one path are held.
+        one tile's rows at a time, so only the open prefixes of one path are
+        held.
         """
         n = self.n
         thr = self._cost_to_go() + CERTIFY_SLACK
         stack = [(np.zeros((1, 0), dtype=np.int64), np.zeros(1))]
-        done, held = [], 0
         while stack:
             cuts, cost = stack.pop()
             g = cuts.shape[1]                 # the gap from cut g to cut g + 1
-            js = cuts[:, -1] if g else np.zeros(1, dtype=np.int64)
             k0, k1 = self._span(g + 1)
-            ks = np.arange(max(k0, int(js.min()) + 1), k1 + 1)
-            take = max(1, _LEVEL_PAIRS // len(ks))
+            take = _rows(k1 - k0 + 1)         # the rows of one tile
             if len(cuts) > take:
                 stack.append((cuts[take:], cost[take:]))
-                cuts, cost, js = cuts[:take], cost[:take], js[:take]
+                cuts, cost = cuts[:take], cost[:take]
+            js = cuts[:, -1] if g else np.zeros(1, dtype=np.int64)
             parts = []                        # (rows, cut levels, costs)
-            for kc in _chunks(ks):
-                if g in self.tables:
-                    j0, c0, table = self.tables[g]
-                    low = table[js - j0][:, kc - c0]
-                else:
-                    low = self._terms(g, js, kc)[0]
+            for _, ks, low, _ in self._tiles(g, js):
                 total = cost[:, None] + low
-                r, c = np.nonzero((total + self.ctg[g + 1][kc - k0] <= thr)
-                                  & (kc > js[:, None]))
-                parts.append((r, kc[c], total[r, c]))
+                r, c = np.nonzero((total + self.ctg[g + 1][ks - k0] <= thr)
+                                  & (ks > js[:, None]))
+                parts.append((r, ks[c], total[r, c]))
             r, k, total = (np.concatenate(a) for a in zip(*parts))
             if not len(r):
                 continue
             child = np.column_stack([cuts[r], k])
             if g + 2 < n:
                 stack.append((child, total))
-                continue
-            done.append(child)
-            held += len(child)
-            while held >= BATCH_ROWS:
-                rows = np.concatenate(done)
-                yield rows[:BATCH_ROWS]
-                done, held = [rows[BATCH_ROWS:]], held - BATCH_ROWS
-        if held:
-            yield np.concatenate(done)
+            else:
+                yield child
 
 
 def random_verify(p: VariationalProblem, samples: int, seed: int) -> OracleReport:
     """Sample trajectories (positive increments normalized to sum B, ending
     at B exactly) and compare the best admissible one's value with the
-    closed form (see `_best_of`).  Deterministic for a fixed seed."""
+    closed form (see `_best_of`).  Samples go in blocks of `_rows(n + 1)`
+    rows, drawn in row-major order from one generator, so they and the
+    report depend on the seed only."""
     _require_discrete(p)
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
@@ -368,19 +373,14 @@ def random_verify(p: VariationalProblem, samples: int, seed: int) -> OracleRepor
     n = len(p.ts.points) - 1
     rng = np.random.default_rng(seed)
     sign = 1.0 if extremum == "min" else -1.0
-    Ws = (1.0 - rng.random((min(BATCH_ROWS, samples - start), n))  # in (0, 1]
-          for start in range(0, samples, BATCH_ROWS))
+    rows = _rows(n + 1)
+    Ws = (1.0 - rng.random((min(rows, samples - start), n))  # in (0, 1]
+          for start in range(0, samples, rows))
     best_val, best_y, _ = _best_of(
         p, (W[:, :-1] / W.sum(axis=1, keepdims=True) * float(p.B) for W in Ws),
         sign)
-    return OracleReport(
-        candidates_evaluated=samples,
-        best_value_found=best_val,
-        best_candidate=GridFunction(p.ts, best_y),
-        closed_form_value=closed,
-        verdict=_verdict(best_val, closed, extremum),
-        mode=f"random(samples={samples}, seed={seed})",
-    )
+    return _global_report(p, samples, best_val, best_y, closed, extremum,
+                          f"random(samples={samples}, seed={seed})")
 
 
 def perturbation_verify(p: VariationalProblem, eps: float,
@@ -393,11 +393,11 @@ def perturbation_verify(p: VariationalProblem, eps: float,
     pairs.  The moves are rows of one array, checked and valued by one
     admissibility walk (see `admissible`) per halving round: eps is halved
     (up to 40 times) for the rows the walk rejects only, and each row keeps
-    the value of the round that accepted it.  Rows go in blocks of at most
-    BATCH_ROWS rows and _LEVEL_PAIRS / 2 values, so a long trajectory never
-    holds all its moves at once.  The best candidate is the first move, in
-    move order, with the least value (the greatest for a maximum problem)
-    when it beats the candidate.  Unlike the global modes, the verdict here
+    the value of the round that accepted it.  Rows go in blocks of
+    `_rows(n)` rows, n the points, so a long trajectory never holds all its
+    moves at once.  The best candidate is the first move, in move order,
+    with the least value (the greatest for a maximum problem) when it beats
+    the candidate.  Unlike the global modes, the verdict here
     is local: refuted means some neighbour beats the candidate by more than
     the slack, and `refuting_candidate` is the first such move.
     """
@@ -425,10 +425,7 @@ def perturbation_verify(p: VariationalProblem, eps: float,
     best_val = base_val
     best_y = base
     refuting = None
-    # half of _LEVEL_PAIRS values keeps every block array under 128 KB,
-    # glibc's default mmap threshold: larger arrays get fresh pages on each
-    # block, 1.2-2x slower at 300-3000 atoms on a 2-vCPU x86-64 machine
-    step = max(1, min(BATCH_ROWS, _LEVEL_PAIRS // (2 * n)))
+    step = _rows(n)
     # rows whose shift overflows are rejected by the walk, not warned about
     with np.errstate(all="ignore"):
         for start in range(0, len(cols), step):

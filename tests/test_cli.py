@@ -289,6 +289,18 @@ class TestSolve:
         assert out == ""
         assert err == "error[precondition]: phi must be positive on [0, B]\n"
 
+    def test_weight_infinite_at_zero_exit_3(self, tmp_path, capsys):
+        # phi(0) = inf is positive but outside the weight's domain
+        bad = dict(WORKED_PROBLEM,
+                   timescale={"kind": "uniform", "a": 0, "b": 2, "n": 4},
+                   problem={"kind": "power_weighted", "B": 2, "alpha": 2,
+                            "phi": {"family": "power", "alpha": -0.5}})
+        f = write_json(tmp_path / "p.json", bad)
+        code, out, err = run_cli(["solve", f, "-o", str(tmp_path / "out")],
+                                 capsys)
+        assert code == 3
+        assert out == "" and "outside open domain (0.0, inf)" in err
+
     def test_extra_scale_key_still_accepted(self, tmp_path, capsys):
         ok = dict(WORKED_PROBLEM,
                   timescale={"kind": "uniform", "a": 0, "b": 5, "n": 5,
@@ -686,14 +698,21 @@ def test_fuzzed_files_exit_inside_contract(tmp_path, capsys, data):
         strict_json(out)
 
 
+def run_module(argv, **env):
+    """`python -m tsvar.cli argv` in a child process that imports the tsvar
+    this suite imports, whatever PYTHONPATH the suite was started with."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "tsvar.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env))
+
+
 class TestEntryPoint:
     def test_console_script_subprocess(self, tmp_path):
         f = tmp_path / "p.json"
         f.write_text(json.dumps(WORKED_PROBLEM))
-        res = subprocess.run(
-            [sys.executable, "-m", "tsvar.cli", "solve", str(f),
-             "-o", str(tmp_path / "out")],
-            capture_output=True, text=True)
+        res = run_module(["solve", str(f), "-o", str(tmp_path / "out")])
         assert res.returncode == 0
         assert strict_json(res.stdout)["C"] == pytest.approx(10.0)
 
@@ -706,11 +725,8 @@ class TestEntryPoint:
         }
         f = tmp_path / "p.json"
         f.write_text(json.dumps(payload))
-        env = dict(os.environ, TSVAR_QUAD_NODES="33")
-        res = subprocess.run(
-            [sys.executable, "-m", "tsvar.cli", "solve", str(f),
-             "-o", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env)
+        res = run_module(["solve", str(f), "-o", str(tmp_path / "out")],
+                         TSVAR_QUAD_NODES="33")
         assert res.returncode == 0
         rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         assert len(rows) == 1 + 33

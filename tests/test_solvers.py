@@ -17,6 +17,7 @@ from tsvar import (
     GridFunction,
     Log,
     Polynomial,
+    Power,
     PreconditionError,
     Solution,
     Transformed,
@@ -258,6 +259,18 @@ class TestDegenerateAndOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=r"phi must be positive on \[0, B\]"):
+                solve(p)
+
+    def test_weight_infinite_at_zero(self):
+        # Power(-0.5) is inf at 0, which passes the positivity probe but lies
+        # outside its domain: the solver rejects the weight, where it used to
+        # return a trajectory that evaluate_functional rejects
+        p = VariationalProblem("power_weighted", uniform(0, 2, 4), 2.0,
+                               Power(-0.5), alpha=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"outside open domain "
+                                                  r"\(0\.0, inf\) of Power"):
                 solve(p)
 
 

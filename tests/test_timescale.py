@@ -404,8 +404,16 @@ class TestGridFunction:
 
     def test_bad_length(self):
         ts = custom(atoms=[0, 1, 2])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="expected 2 or 3 values, got 1"):
             GridFunction(ts, [1.0])
+
+    def test_no_padding_when_b_is_right_dense(self):
+        # the stencils read y(b), so n - 1 values cannot stand for n there;
+        # padding them gave an integral of t over [0, 1] of 0.4792
+        ts = real_interval(0, 1, 5)
+        with pytest.raises(DomainError, match="expected 5 values, got 4"):
+            GridFunction(ts, ts.points[:-1])
+        assert ts.delta_integral(GridFunction(ts, ts.points)) == pytest.approx(0.5)
 
     def test_nonfinite_rejected(self):
         ts = custom(atoms=[0, 1, 2])

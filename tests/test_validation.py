@@ -121,16 +121,26 @@ class TestExhaustive:
         assert rep.optima_count == 3
         assert rep.best_candidate.values.tolist() == [0, 1, 3, 4]
 
-    def test_exact_ties_across_blocks(self):
+    def test_exact_ties_across_blocks(self, monkeypatch):
         # with phi = 1 and alpha = 2 every value is a sum of squared integer
         # increments, exact in float: the 7 orderings of (3, 3, 3, 3, 3, 3, 4)
-        # tie exactly, spread over several blocks of BATCH_ROWS candidates,
-        # and the first in lexicographic order is kept
+        # tie exactly, spread over blocks of 3 candidates of 8 values, and
+        # the first in lexicographic order is kept
+        monkeypatch.setattr(validation, "BLOCK_VALUES", 3 * 8)
+        admitted = []
+        real = validation._admissibility
+
+        def spy(problem, Y):
+            out = real(problem, Y)
+            admitted.append(len(out[1]))
+            return out
+
+        monkeypatch.setattr(validation, "_admissibility", spy)
         p = VariationalProblem("power_weighted", uniform(0, 7, 7), 22.0,
                                Constant(1.0), alpha=2.0)
         rep = exhaustive_verify(p, resolution=1.0)
         assert rep.candidates_evaluated == math.comb(21, 6)
-        assert rep.candidates_evaluated > 8 * validation.BATCH_ROWS
+        assert len(admitted) >= 3 and max(admitted) <= 3
         assert rep.best_value_found == 70.0
         assert rep.optima_count == 7
         assert np.diff(rep.best_candidate.values).tolist() == [3] * 6 + [4]
@@ -318,8 +328,8 @@ class TestRandom:
             random_verify(p, 200, 1)
 
     def test_blocks_without_admissible_rows_are_skipped(self, monkeypatch):
-        # one sample a block, about half of which overflow
-        monkeypatch.setattr(validation, "BATCH_ROWS", 1)
+        # one sample of 3 values a block, about half of which overflow
+        monkeypatch.setattr(validation, "BLOCK_VALUES", 3)
         admitted = []
         real = validation._admissibility
 
@@ -333,12 +343,12 @@ class TestRandom:
                                Constant(1.0))
         rep = random_verify(p, 20, 0)
         assert rep.certified and math.isfinite(rep.best_value_found)
-        assert 0 in admitted and 1 in admitted
+        assert 0 in admitted and max(admitted) > 0
 
     def test_candidates_end_at_B(self, monkeypatch):
         # at B = 1e8 a running sum of 199 increments misses B by more than
         # BOUNDARY_TOL on most rows: each sample ends at B by construction,
-        # so the walk admits all of them
+        # so the walks, of BLOCK_VALUES // 200 rows, admit all of them
         p = VariationalProblem("xlogx_shifted", uniform(0, 10, 199), 1e8,
                                Constant(1.0))
         walks = []
@@ -353,7 +363,25 @@ class TestRandom:
         rep = random_verify(p, 200, 0)
         assert rep.certified
         assert rep.best_candidate.values[-1] == 1e8
-        assert walks == [(200, 200)]
+        rows = validation.BLOCK_VALUES // 200
+        assert walks == [(rows, rows)] * (200 // rows) + [(200 % rows,) * 2]
+
+    @pytest.mark.parametrize("kind,B,alpha", [
+        ("exp_derivative", 50.0, None), ("xlogx_shifted", 400.0, None),
+        ("power_weighted", 50.0, 2.0)])
+    def test_memory_bounded(self, kind, B, alpha):
+        # blocks of BLOCK_VALUES values: 5000 samples of 201 values at once
+        # would be 8 MB an array
+        p = VariationalProblem(kind, uniform(0, 10, 200), B, Affine(0.1, 1.0),
+                               alpha=alpha)
+        tracemalloc.start()
+        try:
+            rep = random_verify(p, samples=5000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.candidates_evaluated == 5000 and rep.certified
+        assert peak < 8 * 2 ** 20
 
     def test_bad_samples(self):
         with pytest.raises(PreconditionError):
@@ -611,7 +639,7 @@ class TestBatchedPerturbation:
     def test_blocks_bound_the_rows(self, monkeypatch):
         # with room for 3 rows of 21 values a block, the report still
         # matches the reference, and no evaluation sees more than 3 rows
-        monkeypatch.setattr(validation, "_LEVEL_PAIRS", 2 * 3 * 21)
+        monkeypatch.setattr(validation, "BLOCK_VALUES", 3 * 21)
         seen = []
         real = validation._admissibility
 
@@ -632,7 +660,7 @@ class TestBatchedPerturbation:
     def test_ties_keep_the_first_move(self, monkeypatch, rows):
         # moves 3 and 5 tie for the least value, in one block or in two:
         # the best and the refuting candidate are move 3
-        monkeypatch.setattr(validation, "_LEVEL_PAIRS", 2 * 6 * rows)
+        monkeypatch.setattr(validation, "BLOCK_VALUES", 6 * rows)
         p = worked_problem()
         base = solve(p).trajectory
         real = validation._admissibility
@@ -699,6 +727,38 @@ class TestBatchedPerturbation:
             with pytest.raises(PreconditionError,
                                match="eps destroys admissibility even after 40 halvings"):
                 perturbation_verify(p, eps=1e300)
+
+
+class TestBlockSize:
+    """Blocks bound memory, not results: with blocks of one row or of
+    three, every oracle reports the same bytes as with the default."""
+
+    CASES = {
+        "exhaustive": (VariationalProblem(
+            "power_weighted", custom(atoms=[0, 0.5, 1.7, 2.0, 3.1, 4.0]), 5.0,
+            Exp(), alpha=2.0), lambda p: exhaustive_verify(p, 5.0 / 40)),
+        # 30 gaps: a row's terms are summed in order whatever its block
+        "random": (VariationalProblem(
+            "xlogx_shifted", uniform(0, 10, 30), 400.0, Affine(0.1, 1.0)),
+            lambda p: random_verify(p, 400, 3)),
+        "perturbation": (worked_problem(), lambda p: perturbation_verify(
+            p, 0.5, trajectory=GridFunction(p.ts, [0, 9, 17, 21, 24, 25]))),
+    }
+
+    @pytest.mark.parametrize("oracle", sorted(CASES))
+    def test_reports_do_not_depend_on_block_size(self, monkeypatch, oracle):
+        p, run = self.CASES[oracle]
+
+        def report():
+            r = run(p)
+            ref = r.refuting_candidate
+            return (json.dumps(r.to_dict(), sort_keys=True),
+                    None if ref is None else ref.values.tobytes())
+
+        default = report()
+        for rows in (1, 3):
+            monkeypatch.setattr(validation, "BLOCK_VALUES", rows * len(p.ts))
+            assert report() == default, rows
 
 
 class TestWsc:
