@@ -65,6 +65,15 @@ def _string(value, name):
 def _numbers(value, name):
     if not isinstance(value, list):
         raise SchemaError(f"{name!r} must be an array of numbers, got {value!r}")
+    # the whole array: one pass over the types and one vectorised range
+    # check (an int whose float is below _MAX is in range too); the loop
+    # below runs only to name the first element that fails
+    if set(map(type, value)) <= {int, float}:
+        try:
+            if (np.abs(np.array(value, dtype=float)) < _MAX).all():
+                return
+        except OverflowError:  # an int past the float range
+            pass
     for i, v in enumerate(value):
         # _number's test inline: an element's name is built only if it fails
         if type(v) not in (int, float) or not abs(v) <= _MAX:

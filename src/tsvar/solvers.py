@@ -9,6 +9,7 @@ functional evaluator handles arbitrary admissible candidate trajectories.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -318,7 +319,12 @@ def _admissibility(p: VariationalProblem, y):
         else:
             w = _phi_on_kappa(p)
         if p.kind == "xlogx_shifted":
-            drop((w + d[:, kap] <= 0.0).any(axis=1),
+            # phi + y^Delta is formed once, by the integrand: a float sum
+            # is <= 0 just when the exact sum is, so when y^Delta <= -phi;
+            # -phi = inf is read as the largest float, as inf - inf is NaN
+            # (-inf derivatives failed the increase check)
+            limit = np.minimum(-w, sys.float_info.max)
+            drop((d[:, kap] <= limit).any(axis=1),
                  lambda: _shift_error(ts, w + d[:, kap]))
         # the integrand takes the derivatives' place (no integral reads b's)
         d[:, kap] = gap_integrand(p, d[:, kap], w)

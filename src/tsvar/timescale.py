@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,42 +88,79 @@ class TimeScale:
             raise ConstructionError("intervals overlap")
 
         # atoms at an interval endpoint are absorbed into that endpoint;
-        # the others must not lie inside the last interval starting below
-        # them (j = -1 picks the -inf pad: no interval starts below)
-        ends = np.concatenate([[-np.inf], np.sort(iv.ravel()), [np.inf]])
-        near = np.searchsorted(ends, atoms)
-        absorbed = np.minimum(atoms - ends[near - 1], ends[near] - atoms) <= POINT_TOL
-        j = np.searchsorted(lo, atoms, side="right") - 1
-        inside = np.flatnonzero((atoms < np.append(hi, -np.inf)[j]) & ~absorbed)
-        if inside.size:
-            i = inside[0]
-            raise ConstructionError(
-                f"atom {atoms[i]} lies strictly inside interval "
-                f"[{lo[j[i]]}, {hi[j[i]]}]")
-        kept = atoms[~absorbed]
-
-        # touching intervals share one node: the later one drops its first
-        seg = np.linspace(lo, hi, nodes, axis=1)
-        shared = np.zeros(len(iv), dtype=bool)
-        shared[1:] = np.abs(lo[1:] - hi[:-1]) <= POINT_TOL
-        pts = np.sort(np.concatenate([kept, seg[~shared, 0], seg[:, 1:].ravel()]))
-        if np.any(np.diff(pts) <= 0):
+        # the others must not lie inside the last interval starting at or
+        # below them.  The nodes of touching intervals share one node: the
+        # later one drops its first.  The atoms left are merged into the
+        # nodes, which are in order.
+        if not len(iv):
+            pts = atoms.copy()
+        else:
+            if atoms.size:
+                atoms = _outside_intervals(atoms, iv)
+            pts = np.linspace(lo, hi, nodes, axis=1).ravel()
+            shared = np.flatnonzero(np.abs(lo[1:] - hi[:-1]) <= POINT_TOL) + 1
+            if shared.size:
+                pts = np.delete(pts, shared * nodes)
+            if atoms.size:
+                pts = np.insert(pts, np.searchsorted(pts, atoms), atoms)
+        gaps = np.diff(pts)
+        if (gaps <= 0).any():
+            # also an interval shorter than POINT_TOL that overlaps the one
+            # before: its nodes would interleave that interval's
             raise ConstructionError("evaluation points are not strictly increasing")
         pts.flags.writeable = False  # kappa_points hands out views of it
         self.points = pts
-        self.atoms = tuple(kept.tolist())
         self.intervals = tuple(map(tuple, iv.tolist()))
 
         # (start, stop) grid-index pair of every interval's nodes
         stop = np.searchsorted(pts, hi) + 1
-        self._spans = np.stack([stop - nodes, stop], axis=1)
+        start = stop - nodes
+        self._spans = np.stack([start, stop], axis=1)
         # the grid's gaps; graininess is zero on every interval gap and at
         # the max point (sigma(b) = b by convention)
-        self._gaps = np.diff(pts)
-        self._gaps.flags.writeable = False  # shared with the lattice DP
-        mu = np.append(self._gaps, 0.0)
-        mu[(self._spans[:, :1] + np.arange(nodes - 1)).ravel()] = 0.0
-        self._mu = mu
+        gaps.flags.writeable = False  # shared with the lattice DP
+        self._gaps = gaps
+        self._mu = np.append(gaps, 0.0)
+        if len(iv):
+            np.copyto(self._mu[:-1], 0.0, where=_runs(start, stop - 1, len(gaps)))
+            self._build_interval_tables(start, stop, nodes)
+
+    def _build_interval_tables(self, start, stop, nodes):
+        """The tables the interval kernels read on every call.
+
+        Each kernel runs its interior stencil once over one slice of the
+        grid, from the first interval's interior to the last's, divides or
+        scales by the spacing of the interval at each position, and keeps
+        the positions its mask sets.  Positions between intervals are
+        computed and dropped.  The <= 4 edge positions of each interval
+        come from a gathered window of its first and last nodes.
+        """
+        pts = self.points
+        h = (pts[stop - 1] - pts[start]) / (nodes - 1)
+        self._h = h
+        self._h24 = h / 24.0
+        # interior gaps [start + 1, stop - 2) and nodes [start + 2, stop - 2)
+        lo, hi = start[0] + 1, stop[-1] - 2
+        self._gap_range = lo, hi
+        self._gap_h24 = _by_interval(self._h24, start - lo, hi - lo)
+        self._inner_gaps = _runs(start + 1 - lo, stop - 2 - lo, hi - lo)
+        lo += 1
+        self._node_range = lo, hi
+        self._node_h12 = _by_interval(12.0 * h, start - lo, hi - lo)
+        self._inner_nodes = _runs(start + 2 - lo, stop - 2 - lo, hi - lo)
+        # the window: all five nodes, or the first six and the last six
+        head = np.arange(min(nodes, 6))
+        self._window = start[:, None] + (
+            head if nodes == 5 else np.concatenate([head, head + nodes - 6]))
+        self._last_gaps = stop - 2
+        # edge nodes 0, 1, m - 1 and m; a node two touching intervals share
+        # takes the earlier interval's stencil, and m is right-dense only
+        # there and at b
+        own = np.ones((len(start), 4), dtype=bool)
+        own[1:, 0] = start[1:] != stop[:-1] - 1
+        own[:, 3] = self._mu[stop - 1] == 0.0
+        self._edge_own = own
+        self._edge_at = (start[:, None] + [0, 1, nodes - 2, nodes - 1])[own]
 
     # -- basic queries ----------------------------------------------------
 
@@ -169,6 +207,16 @@ class TimeScale:
         return (f"TimeScale(atoms={list(self.atoms)}, "
                 f"intervals={list(self.intervals)})")
 
+    @cached_property
+    def atoms(self):
+        """The isolated points, as a tuple of floats: every grid point that
+        is not an interval node.  Built on first access."""
+        n = len(self.points)
+        start, stop = self._spans.T
+        # touching intervals share a node, which ends the earlier one's run
+        stop = np.minimum(stop, np.append(start[1:], n))
+        return tuple(self.points[~_runs(start, stop, n)].tolist())
+
     def kappa_indices(self):
         """Indices of [a, b]^kappa: all points, minus b when b is left-scattered."""
         return np.arange(len(self.kappa_points()))
@@ -196,24 +244,31 @@ class TimeScale:
 
     # -- integration ------------------------------------------------------
 
-    def _intervals_on_grid(self, vals):
-        """Node indices (k, m+1), node values (..., k, m+1) and node
-        spacing (k,) of the k continuous intervals."""
-        start, stop = self._spans[:, 0], self._spans[:, 1]
-        idx = start[:, None] + np.arange(_force_odd(self.quad_nodes_per_interval))
-        h = (self.points[stop - 1] - self.points[start]) / (idx.shape[1] - 1)
-        return idx, vals[..., idx], h
-
     def _amounts(self, vals):
         """Integral over each grid gap [t_i, t_{i+1}], along the last axis.
 
         Right-scattered gaps give mu * f; continuous gaps use the
-        fourth-order stencils of their whole interval.
+        fourth-order stencils of their whole interval: interior gaps
+        integrate the cubic through the four surrounding nodes, the first
+        and last gap the one-sided cubic.  Exact for cubics.
         """
         out = self._mu[:-1] * vals[..., :-1]
         if self.intervals:
-            idx, f, h = self._intervals_on_grid(vals)
-            out[..., idx[:, :-1]] = (h / 24.0)[:, None] * _cubic_stencils(f)
+            lo, hi = self._gap_range
+            # positions between intervals overflow freely; they are dropped
+            with np.errstate(all="ignore"):
+                c = 13.0 * vals[..., lo:hi]
+                c -= vals[..., lo - 1:hi - 1]
+                c += 13.0 * vals[..., lo + 1:hi + 1]
+                c -= vals[..., lo + 2:hi + 2]
+                c *= self._gap_h24
+            np.copyto(out[..., lo:hi], c, where=self._inner_gaps)
+            del c
+            f = vals[..., self._window]
+            out[..., self._spans[:, 0]] = self._h24 * (
+                9.0 * f[..., 0] + 19.0 * f[..., 1] - 5.0 * f[..., 2] + f[..., 3])
+            out[..., self._last_gaps] = self._h24 * (
+                9.0 * f[..., -1] + 19.0 * f[..., -2] - 5.0 * f[..., -3] + f[..., -4])
         return out
 
     def delta_integral(self, f, lo=None, hi=None):
@@ -273,10 +328,18 @@ class TimeScale:
         out[..., :-1] /= self._gaps
         out[..., -1] = np.nan
         if self.intervals:
-            idx, f, h = self._intervals_on_grid(vals)
-            own = self._mu[idx] == 0.0
-            own[1:, 0] &= idx[1:, 0] != idx[:-1, -1]
-            out[..., idx[own]] = _difference_stencils(f, h)[..., own]
+            lo, hi = self._node_range
+            # positions between intervals overflow freely; they are dropped
+            with np.errstate(all="ignore"):
+                d = 8.0 * vals[..., lo - 1:hi - 1]
+                np.subtract(vals[..., lo - 2:hi - 2], d, out=d)
+                d += 8.0 * vals[..., lo + 1:hi + 1]
+                d -= vals[..., lo + 2:hi + 2]
+                d /= self._node_h12
+            np.copyto(out[..., lo:hi], d, where=self._inner_nodes)
+            del d
+            edges = _edge_differences(vals[..., self._window], self._h)
+            out[..., self._edge_at] = edges[..., self._edge_own]
         return out
 
 
@@ -371,47 +434,73 @@ def custom(atoms=(), intervals=(), quad_nodes_per_interval=None):
                      quad_nodes_per_interval=quad_nodes_per_interval)
 
 
-# -- uniform-grid stencils, along the last axis of node values -------------
+# -- construction helpers and edge stencils ---------------------------------
 
 
-def _cubic_stencils(f):
-    """24/h times the fourth-order integral of every subinterval.
+def _outside_intervals(atoms, iv):
+    """The atoms not absorbed into an end of the sorted intervals iv;
+    ConstructionError at the first atom strictly inside an interval, the
+    last one starting at or below it.  An atom within POINT_TOL of an end
+    is absorbed; atoms lie more than POINT_TOL apart, so only the two
+    around each end can be."""
+    ends = iv.ravel()
+    p = np.searchsorted(atoms, ends)
+    below = np.maximum(p - 1, 0)
+    above = np.minimum(p, len(atoms) - 1)
+    absorbed = np.unique(np.concatenate([
+        below[(p > 0) & (ends - atoms[below] <= POINT_TOL)],
+        above[(p < len(atoms)) & (atoms[above] - ends <= POINT_TOL)]]))
+    lo, hi = iv[:, 0], iv[:, 1]
+    first = np.searchsorted(atoms, lo)
+    past = np.searchsorted(atoms, np.minimum(hi, np.append(lo[1:], np.inf)))
+    inside = (past - first) - (np.searchsorted(absorbed, past)
+                               - np.searchsorted(absorbed, first))
+    if inside.any():
+        j = np.flatnonzero(inside)[0]
+        i = next(i for i in range(first[j], past[j]) if i not in absorbed)
+        raise ConstructionError(f"atom {atoms[i]} lies strictly inside "
+                                f"interval [{lo[j]}, {hi[j]}]")
+    return np.delete(atoms, absorbed) if absorbed.size else atoms
 
-    Interior subintervals integrate the cubic through the four surrounding
-    nodes; the first and last use the one-sided cubic.  Exact for cubics.
-    Needs at least 5 nodes.
-    """
-    c = np.empty(f.shape[:-1] + (f.shape[-1] - 1,))
-    c[..., 1:-1] = -f[..., :-3] + 13.0 * f[..., 1:-2] + 13.0 * f[..., 2:-1] - f[..., 3:]
-    c[..., 0] = 9.0 * f[..., 0] + 19.0 * f[..., 1] - 5.0 * f[..., 2] + f[..., 3]
-    c[..., -1] = 9.0 * f[..., -1] + 19.0 * f[..., -2] - 5.0 * f[..., -3] + f[..., -4]
-    return c
+
+def _runs(begin, end, size):
+    """Boolean mask of the given size, set on each [begin_i, end_i) of
+    ordered, disjoint runs."""
+    edges = np.empty(2 * len(begin) + 2, dtype=np.intp)
+    edges[0], edges[1:-1:2], edges[2:-1:2], edges[-1] = 0, begin, end, size
+    return np.repeat(np.arange(len(edges) - 1) % 2 == 1, edges[1:] - edges[:-1])
 
 
-def _difference_stencils(f, h):
-    """Fourth-order finite differences on a uniform grid (>= 5 nodes) with
-    spacing h broadcast against the second-to-last axis."""
-    n = f.shape[-1]
-    d = np.empty(f.shape)
-    d[..., 2:-2] = (f[..., :-4] - 8.0 * f[..., 1:-3] + 8.0 * f[..., 3:-1]
-                    - f[..., 4:]) / (12.0 * h[:, None])
-    if n == 5:
-        d[..., 0] = (-25.0 * f[..., 0] + 48.0 * f[..., 1] - 36.0 * f[..., 2]
-                     + 16.0 * f[..., 3] - 3.0 * f[..., 4]) / (12.0 * h)
-        d[..., 1] = (-3.0 * f[..., 0] - 10.0 * f[..., 1] + 18.0 * f[..., 2]
-                     - 6.0 * f[..., 3] + f[..., 4]) / (12.0 * h)
-        d[..., 3] = (3.0 * f[..., 4] + 10.0 * f[..., 3] - 18.0 * f[..., 2]
-                     + 6.0 * f[..., 1] - f[..., 0]) / (12.0 * h)
-        d[..., 4] = (25.0 * f[..., 4] - 48.0 * f[..., 3] + 36.0 * f[..., 2]
-                     - 16.0 * f[..., 1] + 3.0 * f[..., 0]) / (12.0 * h)
-        return d
+def _by_interval(values, start, size):
+    """values[i] at every position from start[i] (clipped at 0) up to
+    start[i + 1], as an array of the given size: a position inside an
+    interval reads that interval's value.  The one value, as a scalar, when
+    all intervals share it."""
+    if (values == values[0]).all():
+        return values[0]
+    edges = np.append(np.maximum(start, 0), size)
+    return np.repeat(values, edges[1:] - edges[:-1])
+
+
+def _edge_differences(f, h):
+    """Fourth-order derivatives at nodes 0, 1, m - 1 and m of intervals
+    with spacing h, shape (..., k, 4), from their windows f: all five
+    nodes of a 5-node interval, else the first six and the last six."""
+    if f.shape[-1] == 5:
+        return np.stack([
+            (-25.0 * f[..., 0] + 48.0 * f[..., 1] - 36.0 * f[..., 2]
+             + 16.0 * f[..., 3] - 3.0 * f[..., 4]) / (12.0 * h),
+            (-3.0 * f[..., 0] - 10.0 * f[..., 1] + 18.0 * f[..., 2]
+             - 6.0 * f[..., 3] + f[..., 4]) / (12.0 * h),
+            (3.0 * f[..., 4] + 10.0 * f[..., 3] - 18.0 * f[..., 2]
+             + 6.0 * f[..., 1] - f[..., 0]) / (12.0 * h),
+            (25.0 * f[..., 4] - 48.0 * f[..., 3] + 36.0 * f[..., 2]
+             - 16.0 * f[..., 1] + 3.0 * f[..., 0]) / (12.0 * h)], axis=-1)
     # sixth-node one-sided stencils keep the boundary error below the
     # interior error instead of dominating it
-    d[..., 0] = (f[..., :6] @ _EDGE0_W) / h
-    d[..., 1] = (f[..., :6] @ _EDGE1_W) / h
-    d[..., -2] = -(f[..., :-7:-1] @ _EDGE1_W) / h
-    d[..., -1] = -(f[..., :-7:-1] @ _EDGE0_W) / h
-    return d
+    head, tail = f[..., :6], f[..., :5:-1]
+    return np.stack([(head @ _EDGE0_W) / h, (head @ _EDGE1_W) / h,
+                     -(tail @ _EDGE1_W) / h, -(tail @ _EDGE0_W) / h], axis=-1)
 
 
 _EDGE0_W = np.array([-137.0 / 60.0, 5.0, -5.0, 10.0 / 3.0, -5.0 / 4.0, 1.0 / 5.0])

@@ -244,6 +244,26 @@ class TestSolve:
         assert out == "" and err.startswith("error[parse]")
         assert f"'{path[-1]}" in err
 
+    @pytest.mark.parametrize("token, shown", [
+        ("true", "True"), ("1e999", "inf"), ("1" + "0" * 400, "1" + "0" * 400),
+        ('"0.5"', "'0.5'"), ("1.7976931348623157e308", None)])
+    def test_bad_element_of_a_long_array_exit_2(self, tmp_path, capsys,
+                                                token, shown):
+        # the array passes in one vectorised check, or the per-element one
+        # names its first bad element; the largest float is in range
+        atoms = [i / 1000 for i in range(20000)]
+        payload = dict(WORKED_PROBLEM, timescale={"kind": "custom", "atoms": atoms})
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(payload).replace(f" {atoms[10000]},", f" {token},", 1))
+        code, out, err = run_cli(["solve", str(f), "-o", str(tmp_path / "out")],
+                                 capsys)
+        if shown is None:
+            assert code == 3 and "strictly increasing" in err
+        else:
+            assert code == 2 and out == ""
+            assert err == ("error[parse]: 'atoms[10000]' must be a "
+                           f"finite number, got {shown}\n")
+
     def test_q_scale_overflow_exit_3(self, tmp_path, capsys):
         bad = dict(WORKED_PROBLEM,
                    timescale={"kind": "q_scale", "q": 2, "n": 0, "m": 5000})

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,6 +395,50 @@ class TestDeltaDerivative:
         ts = real_interval(0, 1, 65)
         y = GridFunction(ts, ts.points ** 2)
         assert ts.delta_derivative(y, 1.0) == pytest.approx(2.0, abs=1e-8)
+
+
+def _peak_copies(fn, n):
+    """The heap peak of fn() beyond what was allocated before, in copies
+    of an n-float array; numpy reports its buffers to tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / (8 * n)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Construction and the interval kernels work in contiguous passes
+    over per-scale tables, so at 10^5 nodes their heap peak stays within a
+    few copies of the n floats they return (or of the points they build).
+    A memory bound is deterministic where a timing bound is not."""
+
+    N = 100001
+    COPIES = 4
+
+    @pytest.fixture(scope="class")
+    def scale(self):
+        ts = real_interval(0.0, 3.0, self.N)
+        return ts, np.sin(ts.points)
+
+    def test_real_interval(self):
+        assert _peak_copies(lambda: real_interval(0.0, 3.0, self.N), self.N) \
+            < self.COPIES
+
+    def test_delta_derivative_grid(self, scale):
+        ts, y = scale
+        assert _peak_copies(lambda: ts.delta_derivative_grid(y), self.N) \
+            < self.COPIES
+
+    def test_delta_integral(self, scale):
+        ts, y = scale
+        assert _peak_copies(lambda: ts.delta_integral(y), self.N) < self.COPIES
 
 
 class TestGridFunction:
