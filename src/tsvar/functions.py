@@ -42,9 +42,12 @@ class ScalarFunction:
 
     def outside_domain(self, x):
         """Elementwise: x lies outside the open domain (NaN does not)."""
-        lo, hi = self.domain
         xa = np.asarray(x, dtype=float)
-        return (xa <= lo) | (xa >= hi)
+        out = np.isinf(xa)        # beyond any bound: only finite ones are compared
+        for bound, beyond in zip(self.domain, (np.less_equal, np.greater_equal)):
+            if math.isfinite(bound):
+                out |= beyond(xa, bound)
+        return out
 
     def domain_error(self):
         lo, hi = self.domain

@@ -25,8 +25,8 @@ from .errors import (
 )
 from .functions import ScalarFunction
 from .roots import invert_increasing
-from .timescale import (GridFunction, TimeScale, _grid_values,
-                        averaging_segment, segment_mean)
+from .timescale import (JUMP_TOL, GridFunction, TimeScale, _grid_values,
+                        chain_delta)
 
 #: |y(b) - B| tolerance for boundary admissibility
 BOUNDARY_TOL = 1e-9
@@ -257,10 +257,10 @@ def _shift_error(ts, s):
 def gap_integrand(p: VariationalProblem, d, w):
     """The problem's integrand at points where the trajectory has delta
     derivative d and the weight term is w: phi there, or for the
-    power-weighted class phi's mean over the trajectory's jump (see
-    averaged_chain_factor).  Elementwise on broadcast arrays."""
+    power-weighted class (G o y)^Delta with G' = phi, which already holds
+    d (see chain_delta).  Elementwise on broadcast arrays."""
     if p.kind == "power_weighted":
-        return (w * d) ** p.alpha
+        return w ** p.alpha
     if p.kind == "exp_derivative":
         return w * np.exp(d)
     s = w + d
@@ -309,13 +309,16 @@ def _admissibility(p: VariationalProblem, y):
             drop(_not_increasing(ts, d).any(axis=1),
                  lambda: _increase_error(ts, _not_increasing(ts, d)))
         if p.kind == "power_weighted":
-            # a jump's segment: phi defined at both ends, its mean the weight
-            _, s, jump, z = averaging_segment(Y[:, kap], ts._mu[kap], d[:, kap])
+            # each jump's ends lie in phi's domain: kappa, and b if a jump ends there
+            to_b = np.abs(ts._mu[kap][-1] * d[:, kap][:, -1]) >= JUMP_TOL
             outside = p.phi.outside_domain
-            s, jump, z = drop((outside(Y[:, kap]) | outside(z)).any(axis=1),
-                              p.phi.domain_error, s, jump, z)
-            w = segment_mean(p.phi, Y[:, kap], s, jump, z)
-            del s, jump, z
+            drop(outside(Y[:, kap]).any(axis=1) | (outside(Y[:, -1]) & to_b),
+                 p.phi.domain_error)
+            def rise():  # G's rise over each gap, from one antiderivative per node
+                G = p.phi.antideriv(Y)
+                G[:, :-1] = np.diff(G, axis=1)
+                return G[:, kap]     # b's entry, if b is in kappa, is unread
+            w = chain_delta(p.phi, Y[:, kap], d[:, kap], ts._mu[kap], rise)
         else:
             w = _phi_on_kappa(p)
         if p.kind == "xlogx_shifted":
@@ -342,9 +345,8 @@ def admissible(p: VariationalProblem, y):
     row mask for an array of shape (k, n).  A row is admissible when
     y(a) = 0, |y(b) - B| <= BOUNDARY_TOL, y strictly increases
     (power-weighted and x*ln(x) classes), phi + y^Delta > 0 (x*ln(x)
-    class), phi is defined at both ends of each averaging segment
-    (power-weighted class), the integrand is finite and so are the
-    values."""
+    class), phi is defined at both ends of each jump (power-weighted
+    class), the integrand is finite and so are the values."""
     shape, rows = _admissibility(p, y)[:2]
     ok = np.zeros(math.prod(shape), dtype=bool)
     ok[rows] = True

@@ -507,36 +507,36 @@ _EDGE0_W = np.array([-137.0 / 60.0, 5.0, -5.0, 10.0 / 3.0, -5.0 / 4.0, 1.0 / 5.0
 _EDGE1_W = np.array([-1.0 / 5.0, -13.0 / 12.0, 2.0, -1.0, 1.0 / 3.0, -1.0 / 20.0])
 
 
-# -- averaged chain-rule factor -------------------------------------------
+# -- the chain rule --------------------------------------------------------
+
+#: a step |y(sigma(t)) - y(t)| = |mu y^Delta| below this is not a jump
+JUMP_TOL = 1e-12
 
 
-def averaging_segment(y_t, mu_t, ydelta_t):
-    """(y, s, jump, z): the segment [y, z] that averaged_chain_factor
-    averages over, s = mu * ydelta, and where it jumps (|s| >= 1e-12;
-    elsewhere z = y), on broadcast arrays."""
-    y, s = np.broadcast_arrays(np.asarray(y_t, dtype=float),
-                               np.asarray(mu_t, dtype=float) * ydelta_t)
-    jump = np.abs(s) >= 1e-12
-    return y, s, jump, np.where(jump, y + s, y)
+def chain_delta(gprime, y, d, mu, rise):
+    """(G o y)^Delta, G' = gprime, where y has delta derivative d and
+    graininess mu (Bohner and Peterson 2001, Sec. 1.6): rise() / mu where y
+    jumps, |mu d| >= JUMP_TOL, with rise() a new array of G(y(sigma)) -
+    G(y) called only then, and gprime(y) d elsewhere."""
+    jump = np.abs(mu * d) >= JUMP_TOL
+    if not jump.any():
+        return gprime(y) * d
+    out = np.asarray(rise(), dtype=float)
+    np.divide(out, mu, out=out, where=jump)
+    if not jump.all():
+        np.copyto(out, gprime(y) * d, where=~jump)
+    return out
 
 
 def averaged_chain_factor(gprime, y_t, mu_t, ydelta_t):
-    """Average of gprime over the segment [y, y + mu * ydelta].
-
-    Equals (A(y + s) - A(y)) / s with A an antiderivative of gprime and
-    s = mu * ydelta; collapses to gprime(y) when s vanishes.  Multiplied by
-    the delta derivative it reproduces the chain rule for (A o y)^Delta.
-    Works elementwise on broadcast arrays; scalar inputs give a float.
-    """
-    y, s, jump, z = averaging_segment(y_t, mu_t, ydelta_t)
-    gprime.check_domain(y)
-    gprime.check_domain(z)
-    out = segment_mean(gprime, y, s, jump, z)
+    """Average of gprime over the segment [y, y + s], s = mu * ydelta:
+    (A(y + s) - A(y)) / s, A an antiderivative of gprime, which is
+    chain_delta of a unit-slope step across graininess s, or gprime(y) when
+    |s| < JUMP_TOL.  Elementwise on broadcast arrays; scalars give a float."""
+    y, s = np.broadcast_arrays(np.asarray(y_t, dtype=float),
+                               np.asarray(mu_t, dtype=float) * ydelta_t)
+    z = np.where(np.abs(s) >= JUMP_TOL, y + s, y)
+    gprime.check_domain([y, z])
+    out = chain_delta(gprime, y, 1.0, s,
+                      lambda: gprime.antideriv(z) - gprime.antideriv(y))
     return float(out) if out.ndim == 0 else out
-
-
-def segment_mean(gprime, y, s, jump, z):
-    """Mean of gprime over the segments [y, z] of averaging_segment."""
-    out = np.array(gprime(y), dtype=float)
-    np.divide(gprime.antideriv(z) - gprime.antideriv(y), s, out=out, where=jump)
-    return out

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BudgetError, PreconditionError
 from .solvers import (VariationalProblem, _admissibility, _phi_on_kappa,
                       evaluate_functional, gap_integrand, solve)
-from .timescale import GridFunction, averaged_chain_factor, real_interval
+from .timescale import GridFunction, chain_delta, real_interval
 
 #: slack absorbing accumulated floating-point error across candidate terms
 CERTIFY_SLACK = 1e-9
@@ -79,13 +79,12 @@ def _require_discrete(p, max_atoms=None):
 
 
 def _best_of(p, blocks, sign):
-    """(value, trajectory, near) of the best trajectory, least in
-    sign-adjusted terms and first in order, among those whose first n-1
-    increments are the rows of the blocks and which end at B exactly, as
-    the admissibility walk values them, `_rows(n + 1)` rows a walk; near
-    counts the values within CERTIFY_SLACK of the best.  The walk skips
-    inadmissible rows, and if no row is admissible its first error is
-    raised (no row: trajectory None)."""
+    """(trajectory, near) of the best trajectory, least in sign-adjusted
+    terms and first in order, among those whose first n-1 increments are the
+    rows of the blocks and which end at B exactly, as the admissibility walk
+    values them, `_rows(n + 1)` rows a walk; near counts the values within
+    CERTIFY_SLACK of the best.  The walk skips inadmissible rows, and if no
+    row is admissible its first error is raised (no row: trajectory None)."""
     best_val, best_y, error = math.inf, None, None
     near = np.empty(0)         # values within CERTIFY_SLACK of the running best
     step = _rows(len(p.ts.points))
@@ -113,7 +112,7 @@ def _best_of(p, blocks, sign):
         near = near[near <= best_val + CERTIFY_SLACK]
     if best_y is None and error is not None:
         raise error
-    return sign * best_val, best_y, len(near)
+    return best_y, len(near)
 
 
 def _closed_form(p):
@@ -121,15 +120,14 @@ def _closed_form(p):
     return sol, float(sol.optimal_value), sol.extremum
 
 
-def _global_report(p, count, best, best_y, closed, extremum, mode, **more):
-    """A global mode's report on its best value and trajectory values:
-    certified unless the best beats the closed form by more than
-    CERTIFY_SLACK."""
-    if extremum == "min":
-        ok = best >= closed - CERTIFY_SLACK
-    else:
-        ok = best <= closed + CERTIFY_SLACK
-    return OracleReport(count, best, GridFunction(p.ts, best_y), closed,
+def _global_report(p, count, best_y, closed, sign, mode, **more):
+    """A global mode's report on its best trajectory values, valued by
+    evaluate_functional (the walk's sum may differ in the last bits):
+    certified unless that beats the closed form by more than CERTIFY_SLACK."""
+    best_y = GridFunction(p.ts, best_y)
+    best = evaluate_functional(p, best_y)
+    ok = sign * best >= sign * closed - CERTIFY_SLACK
+    return OracleReport(count, best, best_y, closed,
                         "certified" if ok else "refuted", mode, **more)
 
 
@@ -187,14 +185,12 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
     else:
         blocks = []
     heads = (np.diff(cuts, axis=1, prepend=0) * resolution for cuts in blocks)
-    # at most 6 terms a row under the 8-atom cap: numpy adds them in order
-    best_val, best_y, near = _best_of(
-        p, (h[B - h.sum(axis=1) > 0] for h in heads), sign)
+    best_y, near = _best_of(p, (h[B - h.sum(axis=1) > 0] for h in heads), sign)
     if best_y is None:
         raise PreconditionError(
             f"no lattice candidate: B = {B} at resolution {resolution} leaves "
             f"no positive last increment after {n - 1} positive ones")
-    return _global_report(p, count, best_val, best_y, closed, extremum,
+    return _global_report(p, count, best_y, closed, sign,
                           f"exhaustive(resolution={resolution})",
                           optima_count=near)
 
@@ -215,30 +211,30 @@ class _Lattice:
         self.p, self.sign, self.bound = p, sign, bound
         self.n = n = len(p.ts.points) - 1
         self.mu = p.ts._gaps
-        self.phi = (None if p.kind == "power_weighted"
-                    else _phi_on_kappa(p))
+        self.phi = None if p.kind == "power_weighted" else _phi_on_kappa(p)
         self.levels = np.append(np.arange(bound + 1) * resolution, float(p.B))
-        # The rounding margin delta, carried term by term.  _evaluate_rows
+        # The rounding margin delta, carried term by term.  _best_of
         # builds y_i, i < n, as a running sum of rounded increments, and
         # sets y_n = B exactly; each lies within (2n + 3) u Y of the exact
         # level (u = 2**-53, Y = max(|B|, bound * resolution)), and so does
         # each level here (y_n and the level of B are exact, so their share
-        # of the margin is headroom).  So the evaluator computes the same
+        # of the margin is headroom).  So the walk computes the same
         # integrand as here, at ends shifted by at most eps = 2 (2n + 3) u
         # max(Y, 1): the factor 2 is headroom, and max(Y, 1) also covers the
-        # rounding of phi's antiderivative differences in the power-weighted
-        # term, of order u max(y, 1) phi(y) for the library's weights.
-        # Each integrand is monotone in each end, or convex in their
-        # difference, so over the shifted ends its exact value lies in
-        # [lo - spread, hi], with lo and hi the least and greatest of its
-        # values at the nominal ends and at the two far corners, and spread
-        # = hi - lo (a convex term dips below lo by less than spread).  On
-        # top, each side rounds the integrand by a few ulps and sums at
-        # most n + 1 terms (Higham's gamma_{n+1}); rho |term|, with rho =
-        # 4 (n + 8) u, covers both twice.  So a term's bounds are lo - pad
-        # and hi + pad, pad = spread + rho |term|, and a candidate's
-        # computed value lies between the sums of its bounds, within delta
-        # = sum(spread + pad) of the sum of its nominal terms.
+        # rounding of phi's antiderivative A in the power-weighted term, of
+        # order u max(y, 1) phi(y) for the library's weights.  Each integrand
+        # is monotone in each end (that term, ((A(y_{i+1}) - A(y_i)) /
+        # mu)^alpha, as A is increasing), or convex in their difference, so
+        # over the shifted ends its exact value lies in [lo - spread, hi],
+        # with lo and hi the least and greatest of its values at the nominal
+        # ends and at the two far corners, and spread = hi - lo (a convex term
+        # dips below lo by less than spread).  On top, each side rounds the
+        # integrand by a few ulps and sums at most n + 1 terms (Higham's
+        # gamma_{n+1}); rho |term|, with rho = 4 (n + 8) u, covers both
+        # twice.  So a term's bounds are lo - pad and hi + pad, pad = spread +
+        # rho |term|, and a candidate's computed value lies between the sums
+        # of its bounds, within delta = sum(spread + pad) of the sum of its
+        # nominal terms.
         u = np.finfo(float).eps / 2
         eps = 2 * (2 * n + 3) * u * max(abs(float(p.B)), bound * resolution, 1.0)
         # the nominal ends, then the two far corners of the shifted ends
@@ -257,13 +253,13 @@ class _Lattice:
     def _terms(self, i, js, ks):
         """(low, high): bounds on gap i's term from levels js (column) to
         levels ks (row), +inf where the gap is not positive."""
-        mu = self.mu[i]
+        mu, phi = self.mu[i], self.p.phi
         y0 = self.levels[js][:, None] + (self.shift if i else 0.0)  # y_0 = 0
         y1 = self.levels[ks] - self.shift
         with np.errstate(all="ignore"):
             d = (y1 - y0) / mu
-            w = (averaged_chain_factor(self.p.phi, y0, mu, d)
-                 if self.phi is None else self.phi[i])
+            w = self.phi[i] if self.phi is not None else chain_delta(
+                phi, y0, d, mu, lambda: phi.antideriv(y1) - phi.antideriv(y0))
             t = self.sign * mu * gap_integrand(self.p, d, w)
             lo, hi = t.min(axis=0), t.max(axis=0)
             pad = hi - lo + self.rho * np.abs(t).max(axis=0)
@@ -376,10 +372,9 @@ def random_verify(p: VariationalProblem, samples: int, seed: int) -> OracleRepor
     rows = _rows(n + 1)
     Ws = (1.0 - rng.random((min(rows, samples - start), n))  # in (0, 1]
           for start in range(0, samples, rows))
-    best_val, best_y, _ = _best_of(
-        p, (W[:, :-1] / W.sum(axis=1, keepdims=True) * float(p.B) for W in Ws),
-        sign)
-    return _global_report(p, samples, best_val, best_y, closed, extremum,
+    best_y, _ = _best_of(p, (W[:, :-1] / W.sum(axis=1, keepdims=True) * float(p.B)
+                             for W in Ws), sign)
+    return _global_report(p, samples, best_y, closed, sign,
                           f"random(samples={samples}, seed={seed})")
 
 

@@ -92,6 +92,21 @@ def test_noninvertible():
         XLogX().inverse(1.0)
 
 
+@pytest.mark.parametrize("fn", ALL + [
+    Transformed(Log(), in_scale=-1.0, in_shift=10.0),
+    Transformed(Power(2.0), in_scale=-2.0, in_shift=-1.0)])
+def test_outside_domain_masks_match_comparing_both_bounds(fn):
+    # only finite bounds are compared, as x <= -inf or x >= inf is isinf(x);
+    # NaN stays inside
+    lo, hi = fn.domain
+    x = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, lo, hi,
+                  np.nextafter(lo, 0.0), np.nextafter(hi, 0.0), 1.5, -1.5])
+    expected = (x <= lo) | (x >= hi)
+    assert fn.outside_domain(x).tolist() == expected.tolist()
+    assert [bool(fn.outside_domain(v)) for v in x] == expected.tolist()
+    assert fn.outside_domain(x.reshape(1, -1)).tolist() == [expected.tolist()]
+
+
 def test_domain_checks():
     with pytest.raises(DomainError):
         Log().check_domain(-1.0)

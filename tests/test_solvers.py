@@ -33,7 +33,8 @@ from tsvar import (
     solve_xlogx_shifted,
     uniform,
 )
-from generators import random_admissible_trajectory
+from generators import random_admissible_trajectory, random_discrete_timescale
+from reference_power_weight import power_weighted_values
 from tsvar import cli
 from tsvar.roots import invert_increasing
 from tsvar.solvers import weight_antiderivative
@@ -541,24 +542,28 @@ class TestAdmissible:
             with pytest.raises(DomainError, match="integrand is not finite"):
                 evaluate_functional(p, y)
 
-    def test_one_segment_per_walk(self, monkeypatch):
-        # the power-weighted walk checks phi's domain at both ends of each
-        # jump's segment and averages phi over it, from one segment
+    def test_one_antiderivative_per_walk(self, monkeypatch):
+        # the power-weighted walk values each jump from G at its two ends,
+        # with one antiderivative call over all the rows' nodes; a scale
+        # without jumps never calls it
         p = VariationalProblem("power_weighted", uniform(0, 2, 4), 2.0, Exp(),
                                alpha=2.0)
         Y = np.stack([solve(p).trajectory.values] * 3)
         calls = []
-        real = solvers.averaging_segment
+        real = p.phi.antideriv
 
-        def spy(*args):
-            calls.append(np.shape(args[0]))
-            return real(*args)
+        def spy(x):
+            calls.append(np.shape(x))
+            return real(x)
 
-        monkeypatch.setattr(solvers, "averaging_segment", spy)
-        monkeypatch.setattr(timescale, "averaging_segment", spy)
+        q = VariationalProblem("power_weighted", real_interval(0, 2, 9), 2.0,
+                               p.phi, alpha=2.0)
+        y = solve(q).trajectory
+        monkeypatch.setattr(p.phi, "antideriv", spy)
         evaluate_functional(p, Y)
         admissible(p, Y[0])
-        assert calls == [(3, 4), (1, 4)]
+        evaluate_functional(q, y)
+        assert calls == [(3, 5), (1, 5)]
 
     def test_first_condition_wins_over_first_row(self):
         # row 0 is not increasing and row 1 misses y(a): the y(a) check
@@ -612,3 +617,78 @@ class TestAdmissible:
         assert rows.tolist() == np.flatnonzero(mask).tolist()
         assert values.tobytes() == np.array(
             [evaluate_functional(p, Y[i]) for i in rows]).tobytes()
+
+
+class TestChainRuleValues:
+    """The walk values a power-weighted jump by the chain rule, as
+    (G(y(sigma)) - G(y)) / mu from one antiderivative per node; the
+    reference averages phi over the jump's segment [y, y + mu y^Delta].
+    Without a jump both take phi(y) y^Delta, so interval-only scales give
+    the same bits.  Across a jump each form rounds its own difference of
+    antiderivative values, whose cancellation scales the error by
+    |G| / (phi Delta y), and alpha scales it again.  The bound is 64 ulps:
+    these 60 cases reach 6, and 300 cases of the same kind reached 31
+    (phi = ln(x + 2), B = 0.5, alpha = 2)."""
+
+    PHIS = [Exp(), Affine(0.5, 1.0), Polynomial([1.0, 0.3, 0.2]),
+            Transformed(Log(), in_shift=2.0), Constant(1.7)]
+
+    @staticmethod
+    def _rows(p, rng, random_increments):
+        # y = B (t + t^g) / 2 for a spread of g, and on discrete scales
+        # also normalized random increments; only admissible rows are kept
+        t = (p.ts.points - p.ts.a) / (p.ts.b - p.ts.a)
+        rows = [p.B * (t + t ** g) / 2 for g in rng.uniform(0.3, 3.0, 20)]
+        if random_increments:
+            W = 1.0 - rng.random((20, len(t) - 1))
+            rows += list(np.cumsum(np.column_stack(
+                [np.zeros(20), W / W.sum(axis=1, keepdims=True) * p.B]),
+                axis=1))
+        Y = np.array(rows)
+        Y[:, -1] = p.B
+        return Y[admissible(p, Y)]
+
+    @pytest.mark.parametrize("ts", [
+        real_interval(0, 2, 9), real_interval(0, 3, 129),
+        custom(intervals=[(0.0, 1.0), (1.0, 2.5)],
+               quad_nodes_per_interval=9),
+    ], ids=["9 nodes", "129 nodes", "touching intervals"])
+    @pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0, 3.0])
+    def test_interval_only_values_are_the_same_bits(self, ts, alpha):
+        rng = np.random.default_rng(7)
+        for phi in self.PHIS:
+            p = VariationalProblem("power_weighted", ts, 3.0, phi, alpha=alpha)
+            Y = self._rows(p, rng, False)
+            assert len(Y) == 20
+            assert evaluate_functional(p, Y).tobytes() == \
+                power_weighted_values(p, Y).tobytes()
+
+    def test_interval_only_errors_are_unchanged(self):
+        # phi = ln(10 - x) is undefined at y(b) = 12, which is a kappa
+        # point of an interval: the domain error, as before
+        p = VariationalProblem("power_weighted", real_interval(0, 2, 9), 12.0,
+                               Transformed(Log(), in_scale=-1.0,
+                                           in_shift=10.0), alpha=2.0)
+        y = 12.0 * (p.ts.points / 2.0 + (p.ts.points / 2.0) ** 2) / 2.0
+        assert admissible(p, np.stack([y, y])).tolist() == [False, False]
+        with pytest.raises(DomainError, match="outside open domain"):
+            evaluate_functional(p, y)
+
+    def test_jumps_move_values_by_a_few_ulps(self):
+        rng = np.random.default_rng(3)
+        pyrng = random.Random(3)
+        mixed = custom(atoms=[0.0, 0.4, 2.8, 3.5], intervals=[(1.0, 2.5)],
+                       quad_nodes_per_interval=9)
+        worst = 0.0
+        for case in range(60):
+            ts = mixed if case % 2 else random_discrete_timescale(pyrng, 3, 12)
+            phi = self.PHIS[case % len(self.PHIS)]
+            B = pyrng.choice([0.5, 3.0, 20.0, 1e3][:4 - isinstance(phi, Exp)])
+            p = VariationalProblem("power_weighted", ts, B, phi,
+                                   alpha=pyrng.choice([-1.0, 0.5, 2.0, 3.0]))
+            Y = self._rows(p, rng, not case % 2)
+            assert len(Y) >= 20
+            new, old = evaluate_functional(p, Y), power_weighted_values(p, Y)
+            worst = max(worst, float(np.max(
+                np.abs(new - old) / np.spacing(np.abs(old)))))
+        assert 0 < worst <= 64

@@ -17,6 +17,7 @@ from tsvar import (
     Exp,
     FeasibilityError,
     GridFunction,
+    Polynomial,
     PreconditionError,
     VariationalProblem,
     custom,
@@ -279,6 +280,44 @@ class TestExhaustive:
             assert inc > 0
 
 
+class TestLatticeBounds:
+    """The dynamic programme's term bounds hold every lattice candidate's
+    walk value: the sum of its gaps' lows is at most that value, and the
+    sum of its highs at least."""
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("phi,B", [
+        (Exp(), 1.3), (Exp(), 30.0),
+        (Affine(0.5, 1.0), 1.3), (Affine(0.5, 1.0), 1e4),
+        (Affine(0.5, 1.0), 1e8),
+        (Polynomial([1.0, 0.3, 0.2]), 2.0), (Polynomial([1.0, 0.3, 0.2]), 1e8),
+    ])
+    def test_power_weighted_bounds_hold_every_candidate(self, phi, B, alpha):
+        p = VariationalProblem("power_weighted",
+                               custom(atoms=[0.0, 0.5, 1.25, 2.0, 3.0]), B,
+                               phi, alpha=alpha)
+        sign = 1.0 if solve(p).extremum == "min" else -1.0
+        bound, resolution = 11, B / 12           # levels 0..11, and B
+        lat = validation._Lattice(p, sign, bound, resolution)
+        levels = np.arange(bound + 2)
+        cuts = np.array(list(itertools.combinations(range(1, bound + 1), 3)))
+        path = np.column_stack([np.zeros(len(cuts), dtype=int), cuts,
+                                np.full(len(cuts), bound + 1)])
+        low = high = 0.0
+        for i in range(lat.n):
+            lo, hi = lat._terms(i, levels, levels)
+            low = low + lo[path[:, i], path[:, i + 1]]
+            high = high + hi[path[:, i], path[:, i + 1]]
+        # the candidates as exhaustive_verify builds and walks them
+        Y = np.zeros((len(cuts), 5), order="F")
+        np.cumsum(np.diff(cuts, axis=1, prepend=0) * resolution, axis=1,
+                  out=Y[:, 1:-1])
+        Y[:, -1] = B
+        _, rows, _, vals = solvers._admissibility(p, Y)
+        assert len(rows) == len(cuts) == 165
+        assert np.all(low <= sign * vals) and np.all(sign * vals <= high)
+
+
 def product_reference(p, resolution):
     """Brute force independent of the oracle: every integer tuple of first
     n - 1 increments whose lattice sum leaves a positive remainder, in
@@ -383,6 +422,14 @@ class TestRandom:
         assert rep.candidates_evaluated == 5000 and rep.certified
         assert peak < 8 * 2 ** 20
 
+    def test_best_value_is_the_evaluators(self):
+        # the walk sums a block's rows in order, evaluate_functional a lone
+        # row pairwise: the report gives the evaluator's value
+        p = VariationalProblem("xlogx_shifted", uniform(0, 10, 200), 400.0,
+                               Affine(0.1, 1.0))
+        rep = random_verify(p, samples=2000, seed=1)
+        assert rep.best_value_found == evaluate_functional(p, rep.best_candidate)
+
     def test_bad_samples(self):
         with pytest.raises(PreconditionError):
             random_verify(worked_problem(), samples=0, seed=1)
@@ -446,7 +493,8 @@ class TestDiscreteObjective:
         for row, v in zip(Y, batched):
             assert evaluate_functional(p, GridFunction(ts, row)) == \
                 pytest.approx(float(v), abs=1e-10)
-            assert discrete_sum(p, row) == pytest.approx(float(v), abs=1e-10)
+            # the same terms, summed in the same order
+            assert discrete_sum(p, row) == float(v)
 
 
 class TestPerturbation:
