@@ -249,28 +249,28 @@ def _load_json(path):
 # -- output ---------------------------------------------------------------
 
 
-#: rows formatted by one ``%``, so the writer holds a block's text, not the file's
+#: rows per block: the writer's buffers hold one block's values and text
 _CSV_BLOCK_ROWS = 1024
-#: a row as csv's excel dialect writes it, and one whose y_delta is undefined
-_CSV_ROW = "%.17g,%.17g,%.17g\r\n"
-_CSV_ROW_NO_DELTA = "%.17g,%.17g,\r\n"
 
 
 def write_trajectory_csv(path, ts, traj):
     """Write t, y and y_delta at every point of ts under a ``t,y,y_delta``
     header: 17 significant digits, which round-trip every double, rows
     ended by ``\\r\\n``, and an empty y_delta where it is undefined (NaN)."""
+    # imported here: a process that writes no trajectory never compiles it
+    from ._csvtext import CsvText
+
     d = ts.delta_derivative_grid(traj)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,y,y_delta\r\n")
+    block = np.empty((min(len(d), _CSV_BLOCK_ROWS), 3))
+    text = CsvText(len(block))
+    with open(path, "wb") as fh:
+        fh.write(b"t,y,y_delta")  # each row brings the '\r\n' before it
         for i in range(0, len(d), _CSV_BLOCK_ROWS):
-            rows = np.column_stack([col[i:i + _CSV_BLOCK_ROWS]
-                                    for col in (ts.points, traj.values, d)])
-            template = "".join([_CSV_ROW_NO_DELTA if u else _CSV_ROW
-                                for u in np.isnan(rows[:, 2]).tolist()])
-            keep = ~np.isnan(rows)  # drop the undefined y_delta, no t or y
-            keep[:, :2] = True
-            fh.write(template % tuple(rows[keep].tolist()))
+            rows = block[:len(d) - i]
+            for j, col in enumerate((ts.points, traj.values, d)):
+                rows[:, j] = col[i:i + _CSV_BLOCK_ROWS]
+            fh.write(text(rows))
+        fh.write(b"\r\n")
 
 
 def read_trajectory_csv(path, ts):
