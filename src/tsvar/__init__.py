@@ -47,7 +47,6 @@ from .solvers import (
 from .timescale import (
     GridFunction,
     TimeScale,
-    averaged_chain_factor,
     custom,
     q_scale,
     real_interval,

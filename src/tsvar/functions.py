@@ -3,7 +3,7 @@
 Every member evaluates pointwise on floats or numpy arrays and exposes exact
 first/second derivatives and an antiderivative, which is what the inequality
 checkers and solvers need: convexity is decided from the second derivative,
-and averaged chain-rule factors reduce to antiderivative differences.
+and the chain rule across a jump reduces to an antiderivative difference.
 """
 
 from __future__ import annotations

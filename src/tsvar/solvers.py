@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -52,8 +53,19 @@ class VariationalProblem:
             raise ParameterError(f"unknown problem kind {self.kind!r}")
         if self.kind == "power_weighted" and self.alpha is None:
             raise ParameterError("power_weighted problem needs an exponent")
+        if self.alpha is not None and not math.isfinite(self.alpha):
+            raise ParameterError(f"exponent {self.alpha} is not finite")
         if len(self.ts) < 2:
             raise PreconditionError("the time scale has one point, so a = b")
+
+    @cached_property
+    def phi_on_kappa(self):
+        """phi on [a, b]^kappa, read-only, evaluated on first access and kept
+        out of the fields, so equality and hashing ignore it."""
+        with np.errstate(all="ignore"):
+            vals = np.array(self.phi(self.ts.kappa_points()), dtype=float)
+        vals.flags.writeable = False
+        return vals
 
 
 @dataclass(frozen=True)
@@ -77,12 +89,6 @@ def weight_antiderivative(phi):
         return phi.antideriv(x) - base
 
     return G
-
-
-def _phi_on_kappa(p):
-    """phi on [a, b]^kappa, the only points where it enters the functional."""
-    with np.errstate(all="ignore"):
-        return np.asarray(p.phi(p.ts.kappa_points()), dtype=float)
 
 
 def _misses_b(p, yb):
@@ -179,7 +185,7 @@ def _jensen_equality(p, g, value, increasing=False):
     """
     ts = p.ts
     span = ts.b - ts.a
-    phi = _phi_on_kappa(p)
+    phi = p.phi_on_kappa
     bad = np.flatnonzero(~(np.isfinite(phi) & (phi > 0.0)))
     if len(bad):
         t_bad = float(ts.points[bad[0]])
@@ -254,16 +260,18 @@ def _shift_error(ts, s):
         point=t_bad, condition="phi + y_delta > 0")
 
 
-def gap_integrand(p: VariationalProblem, d, w):
-    """The problem's integrand at points where the trajectory has delta
-    derivative d and the weight term is w: phi there, or for the
-    power-weighted class (G o y)^Delta with G' = phi, which already holds
-    d (see chain_delta).  Elementwise on broadcast arrays."""
+def gap_integrand(p: VariationalProblem, y, d, mu, rise, at):
+    """The integrand on gaps with left-end values y, delta derivatives d and
+    graininess mu, elementwise on broadcast arrays: ((G o y)^Delta)^alpha,
+    G' = phi, by chain_delta (rise() gives G(y(sigma)) - G(y)) for the
+    power-weighted class; phi e^d or (phi + d) ln(phi + d) for the others,
+    with phi at the kappa-points ``at`` (an index into phi_on_kappa)."""
     if p.kind == "power_weighted":
-        return w ** p.alpha
+        return chain_delta(p.phi, y, d, mu, rise) ** p.alpha
+    phi = p.phi_on_kappa[at]
     if p.kind == "exp_derivative":
-        return w * np.exp(d)
-    s = w + d
+        return phi * np.exp(d)
+    s = phi + d
     out = np.maximum(s, 1e-300)
     np.log(out, out=out)
     out *= s
@@ -314,24 +322,21 @@ def _admissibility(p: VariationalProblem, y):
             outside = p.phi.outside_domain
             drop(outside(Y[:, kap]).any(axis=1) | (outside(Y[:, -1]) & to_b),
                  p.phi.domain_error)
-            def rise():  # G's rise over each gap, from one antiderivative per node
-                G = p.phi.antideriv(Y)
-                G[:, :-1] = np.diff(G, axis=1)
-                return G[:, kap]     # b's entry, if b is in kappa, is unread
-            w = chain_delta(p.phi, Y[:, kap], d[:, kap], ts._mu[kap], rise)
-        else:
-            w = _phi_on_kappa(p)
         if p.kind == "xlogx_shifted":
             # phi + y^Delta is formed once, by the integrand: a float sum
             # is <= 0 just when the exact sum is, so when y^Delta <= -phi;
             # -phi = inf is read as the largest float, as inf - inf is NaN
             # (-inf derivatives failed the increase check)
-            limit = np.minimum(-w, sys.float_info.max)
+            limit = np.minimum(-p.phi_on_kappa, sys.float_info.max)
             drop((d[:, kap] <= limit).any(axis=1),
-                 lambda: _shift_error(ts, w + d[:, kap]))
+                 lambda: _shift_error(ts, p.phi_on_kappa + d[:, kap]))
+        def rise():  # G's rise over each gap, from one antiderivative per node
+            G = p.phi.antideriv(Y)
+            G[:, :-1] = np.diff(G, axis=1)
+            return G[:, kap]     # b's entry, if b is in kappa, is unread
         # the integrand takes the derivatives' place (no integral reads b's)
-        d[:, kap] = gap_integrand(p, d[:, kap], w)
-        del w
+        d[:, kap] = gap_integrand(p, Y[:, kap], d[:, kap], ts._mu[kap], rise,
+                                  kap)
         drop(~np.isfinite(d[:, kap]).all(axis=1),
              lambda: DomainError("the functional's integrand is not finite"))
         drop(~np.isfinite(Y).all(axis=1),

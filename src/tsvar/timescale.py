@@ -16,6 +16,7 @@ a stack of grid functions is handled in one call.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -184,13 +185,15 @@ class TimeScale:
         return bool(i > 0 and self._mu[i - 1] > 0.0)
 
     def index_of(self, t):
-        """Index of t in the evaluation grid, matched to absolute tolerance."""
-        i = int(np.searchsorted(self.points, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.points) and abs(self.points[j] - t) <= max(
-                POINT_TOL, POINT_TOL * abs(t)
-            ):
-                return j
+        """Index of t in the evaluation grid, matched to absolute tolerance;
+        DomainError off the grid, and for a non-finite t (infinite tolerance)."""
+        if math.isfinite(t):
+            i = int(np.searchsorted(self.points, t))
+            for j in (i - 1, i, i + 1):
+                if 0 <= j < len(self.points) and abs(self.points[j] - t) <= max(
+                    POINT_TOL, POINT_TOL * abs(t)
+                ):
+                    return j
         raise DomainError(f"point {t} is not in the time scale")
 
     def __contains__(self, t):
@@ -355,7 +358,10 @@ class GridFunction:
 
     def __post_init__(self):
         ts = self.timescale
-        vals = pad_kappa(self.values, ts)
+        vals = np.asarray(self.values, dtype=float)
+        if vals.ndim != 1:
+            raise DomainError(f"grid values must be 1-D, got shape {vals.shape}")
+        vals = pad_kappa(vals, ts)
         if len(vals) != len(ts.points):
             lengths = sorted({len(ts.points), len(ts.kappa_points())})
             raise DomainError(f"expected {' or '.join(map(str, lengths))} "
@@ -527,16 +533,3 @@ def chain_delta(gprime, y, d, mu, rise):
         np.copyto(out, gprime(y) * d, where=~jump)
     return out
 
-
-def averaged_chain_factor(gprime, y_t, mu_t, ydelta_t):
-    """Average of gprime over the segment [y, y + s], s = mu * ydelta:
-    (A(y + s) - A(y)) / s, A an antiderivative of gprime, which is
-    chain_delta of a unit-slope step across graininess s, or gprime(y) when
-    |s| < JUMP_TOL.  Elementwise on broadcast arrays; scalars give a float."""
-    y, s = np.broadcast_arrays(np.asarray(y_t, dtype=float),
-                               np.asarray(mu_t, dtype=float) * ydelta_t)
-    z = np.where(np.abs(s) >= JUMP_TOL, y + s, y)
-    gprime.check_domain([y, z])
-    out = chain_delta(gprime, y, 1.0, s,
-                      lambda: gprime.antideriv(z) - gprime.antideriv(y))
-    return float(out) if out.ndim == 0 else out

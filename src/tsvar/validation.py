@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .solvers import (VariationalProblem, _admissibility, _phi_on_kappa,
-                      evaluate_functional, gap_integrand, solve)
-from .timescale import GridFunction, chain_delta, real_interval
+from .solvers import (VariationalProblem, _admissibility, evaluate_functional,
+                      gap_integrand, solve)
+from .timescale import GridFunction, real_interval
 
 #: slack absorbing accumulated floating-point error across candidate terms
 CERTIFY_SLACK = 1e-9
@@ -211,7 +211,6 @@ class _Lattice:
         self.p, self.sign, self.bound = p, sign, bound
         self.n = n = len(p.ts.points) - 1
         self.mu = p.ts._gaps
-        self.phi = None if p.kind == "power_weighted" else _phi_on_kappa(p)
         self.levels = np.append(np.arange(bound + 1) * resolution, float(p.B))
         # The rounding margin delta, carried term by term.  _best_of
         # builds y_i, i < n, as a running sum of rounded increments, and
@@ -258,9 +257,9 @@ class _Lattice:
         y1 = self.levels[ks] - self.shift
         with np.errstate(all="ignore"):
             d = (y1 - y0) / mu
-            w = self.phi[i] if self.phi is not None else chain_delta(
-                phi, y0, d, mu, lambda: phi.antideriv(y1) - phi.antideriv(y0))
-            t = self.sign * mu * gap_integrand(self.p, d, w)
+            t = self.sign * mu * gap_integrand(
+                self.p, y0, d, mu,
+                lambda: phi.antideriv(y1) - phi.antideriv(y0), i)
             lo, hi = t.min(axis=0), t.max(axis=0)
             pad = hi - lo + self.rho * np.abs(t).max(axis=0)
             low = np.where(lo == np.inf, lo, lo - pad)

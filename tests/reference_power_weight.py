@@ -13,8 +13,8 @@ import numpy as np
 
 
 def averaging_segment(y_t, mu_t, ydelta_t):
-    """(y, s, jump, z): the segment [y, z] that averaged_chain_factor
-    averages over, s = mu * ydelta, and where it jumps (|s| >= 1e-12;
+    """(y, s, jump, z): the segment [y, z] that the averaging walk
+    averaged over, s = mu * ydelta, and where it jumps (|s| >= 1e-12;
     elsewhere z = y), on broadcast arrays."""
     y, s = np.broadcast_arrays(np.asarray(y_t, dtype=float),
                                np.asarray(mu_t, dtype=float) * ydelta_t)

@@ -16,6 +16,7 @@ from tsvar import (
     FeasibilityError,
     GridFunction,
     Log,
+    ParameterError,
     Polynomial,
     Power,
     PreconditionError,
@@ -200,6 +201,16 @@ class TestDegenerateAndOverflow:
         with pytest.raises(PreconditionError):
             VariationalProblem(kind, custom(atoms=[3.0]), 1.0, Constant(1.0),
                                alpha=2.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("B,phi", [(1.0, Constant(1.0)),
+                                       (2.0, Affine(0.5, 1.0))])
+    def test_nonfinite_exponent_rejected(self, B, phi, alpha):
+        # alpha = nan once solved to a "max" of 1.0 or raised DomainError,
+        # depending on B and phi, and alpha = inf to a "min"
+        with pytest.raises(ParameterError, match="not finite"):
+            VariationalProblem("power_weighted", uniform(0, 1, 4), B, phi,
+                               alpha=alpha)
 
     def test_exp_optimal_value_overflow(self):
         p = VariationalProblem("exp_derivative", uniform(0, 5, 5), 5000.0,

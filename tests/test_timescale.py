@@ -13,12 +13,12 @@ from tsvar import (
     Exp,
     GridFunction,
     TimeScale,
-    averaged_chain_factor,
     custom,
     q_scale,
     real_interval,
     uniform,
 )
+from tsvar.timescale import chain_delta
 
 
 class TestConstruction:
@@ -121,6 +121,19 @@ class TestJumpOperators:
         ts = custom(atoms=[0, 1, 3])
         assert ts.index_of(1 + 1e-13) == 1
         assert (1 + 1e-13) in ts and 2 not in ts
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_point_rejected(self, t):
+        # a relative tolerance of POINT_TOL * |t| is inf at +-inf, which
+        # matched b or a
+        ts = uniform(0, 1, 4)
+        with pytest.raises(DomainError):
+            ts.index_of(t)
+        assert t not in ts
+        with pytest.raises(DomainError):
+            ts.sigma(t)
+        with pytest.raises(DomainError):
+            ts.delta_integral(GridFunction(ts, ts.points), 0.0, t)
 
     def test_mu_nonnegative_and_dense_iff_zero(self):
         ts = custom(atoms=[2, 3], intervals=[(0, 1)], quad_nodes_per_interval=9)
@@ -465,6 +478,13 @@ class TestGridFunction:
         with pytest.raises(DomainError):
             GridFunction(ts, [1.0, math.inf, 0.0])
 
+    @pytest.mark.parametrize("values", [np.ones((5, 5)), 1.0])
+    def test_not_one_dimensional_rejected(self, values):
+        # a (5, 5) array once passed the length check, and the functional
+        # of it was an array
+        with pytest.raises(DomainError, match="1-D"):
+            GridFunction(uniform(0, 1, 4), values)
+
     def test_from_callable_and_lookup(self):
         ts = uniform(0, 2, 2)
         f = GridFunction.from_callable(ts, lambda t: t ** 2)
@@ -472,19 +492,29 @@ class TestGridFunction:
 
 
 class TestAveragedChainFactor:
+    """chain_delta over y^Delta: across a jump, the factor (G o y)^Delta /
+    y^Delta is G' averaged over the segment [y, y + mu y^Delta]."""
+
+    @staticmethod
+    def chain(g, y, d, mu):
+        return chain_delta(g, y, d, mu,
+                           lambda: g.antideriv(y + mu * d) - g.antideriv(y))
+
     def test_collapses_at_zero_graininess(self):
-        assert averaged_chain_factor(Exp(), 0.0, 0.0, 5.0) == 1.0
+        def rise():
+            raise AssertionError("no jump, so no antiderivative")
+        assert chain_delta(Exp(), 0.0, 5.0, 0.0, rise) == 1.0 * 5.0
 
     def test_reproduces_integer_chain_rule(self):
-        # factor times the delta derivative gives (t^2)^Delta = 2t + 1 on Z
-        g = Affine(2.0, 0.0)
-        for t in range(5):
-            assert averaged_chain_factor(g, float(t), 1.0, 1.0) == 2 * t + 1
+        # (t^2)^Delta = 2t + 1 on Z, with G' = 2y and y = t
+        t = np.arange(5.0)
+        assert np.array_equal(self.chain(Affine(2.0, 0.0), t, 1.0, 1.0),
+                              2 * t + 1)
 
     def test_constant_independent_of_inputs(self):
         g = Constant(4.25)
         for mu, yd in [(0.0, 1.0), (1.0, 2.0), (0.5, -3.0)]:
-            assert averaged_chain_factor(g, 0.3, mu, yd) == pytest.approx(4.25, abs=1e-12)
+            assert self.chain(g, 0.3, yd, mu) == pytest.approx(4.25 * yd, abs=1e-12)
 
     def test_matches_quadrature(self):
         # midpoint-rule refinement as an independent check
@@ -492,9 +522,4 @@ class TestAveragedChainFactor:
         y, mu, yd = 0.2, 0.7, 1.3
         hs = (np.arange(20000) + 0.5) / 20000
         brute = float(np.mean(g(y + hs * mu * yd)))
-        assert averaged_chain_factor(g, y, mu, yd) == pytest.approx(brute, abs=1e-8)
-
-    def test_domain_error(self):
-        from tsvar import Log
-        with pytest.raises(DomainError):
-            averaged_chain_factor(Log(), 1.0, 1.0, -2.0)
+        assert self.chain(g, y, yd, mu) == pytest.approx(brute * yd, abs=1e-8)

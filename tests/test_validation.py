@@ -293,9 +293,22 @@ class TestLatticeBounds:
         (Polynomial([1.0, 0.3, 0.2]), 2.0), (Polynomial([1.0, 0.3, 0.2]), 1e8),
     ])
     def test_power_weighted_bounds_hold_every_candidate(self, phi, B, alpha):
-        p = VariationalProblem("power_weighted",
-                               custom(atoms=[0.0, 0.5, 1.25, 2.0, 3.0]), B,
-                               phi, alpha=alpha)
+        self.check("power_weighted", phi, B, alpha)
+
+    @pytest.mark.parametrize("phi", [Exp(), Affine(0.5, 1.0),
+                                     Polynomial([1.0, 0.3, 0.2]), Constant(1.0)])
+    @pytest.mark.parametrize("kind,B", [
+        ("exp_derivative", 1.3), ("exp_derivative", 30.0),
+        ("xlogx_shifted", 30.0), ("xlogx_shifted", 1e4),
+        ("xlogx_shifted", 1e8), ("xlogx_shifted", 6.85e8),
+    ])
+    def test_phi_weighted_bounds_hold_every_candidate(self, kind, B, phi):
+        self.check(kind, phi, B)
+
+    @staticmethod
+    def check(kind, phi, B, alpha=None):
+        p = VariationalProblem(kind, custom(atoms=[0.0, 0.5, 1.25, 2.0, 3.0]),
+                               B, phi, alpha=alpha)
         sign = 1.0 if solve(p).extremum == "min" else -1.0
         bound, resolution = 11, B / 12           # levels 0..11, and B
         lat = validation._Lattice(p, sign, bound, resolution)
@@ -497,6 +510,33 @@ class TestDiscreteObjective:
             assert discrete_sum(p, row) == float(v)
 
 
+class TestPhiOnKappa:
+    @pytest.mark.parametrize("kind", ["exp_derivative", "xlogx_shifted"])
+    def test_evaluated_once_per_problem(self, kind):
+        # the solver and every walk of the oracles read one cached array
+        ts = uniform(0, 5, 5)
+        kappa = ts.kappa_points()
+        calls = []
+
+        class Counted(Affine):
+            def __call__(self, x):
+                if np.shape(x) == kappa.shape and np.array_equal(x, kappa):
+                    calls.append(x)
+                return super().__call__(x)
+
+        p = VariationalProblem(kind, ts, 25.0, Counted(2.0, 1.0))
+        solve(p)
+        random_verify(p, 100, seed=1)
+        perturbation_verify(p, 0.1)
+        exhaustive_verify(p, 1.0)
+        assert len(calls) == 1
+        # kept off the fields: a twin problem is equal, with the same hash
+        twin = VariationalProblem(kind, ts, 25.0, p.phi)
+        assert twin == p and hash(twin) == hash(p)
+        with pytest.raises(ValueError):
+            p.phi_on_kappa[0] = 0.0
+
+
 class TestPerturbation:
     @pytest.mark.parametrize("kind,phi,B,alpha", [
         ("power_weighted", Constant(1.0), 2.0, 2.0),
@@ -667,9 +707,9 @@ class TestBatchedPerturbation:
             events.append(("walk", len(y)))
             return real_walk(problem, y)
 
-        def build(problem, d, w):
+        def build(problem, y, d, mu, rise, at):
             events.append(("integrand", len(d)))
-            return real_build(problem, d, w)
+            return real_build(problem, y, d, mu, rise, at)
 
         monkeypatch.setattr(validation, "evaluate_functional", evaluate)
         monkeypatch.setattr(validation, "_admissibility", walk)
