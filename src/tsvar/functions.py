@@ -283,7 +283,7 @@ CONVEXITY_SAMPLES = 257
 _AFFINE_TOL = 1e-12
 
 
-def classify_convexity(F, lo, hi, samples=CONVEXITY_SAMPLES):
+def classify_convexity(F, lo, hi):
     """Decide convexity of F on [lo, hi] from the sign of its second derivative.
 
     Returns (kind, strict) with kind in {"convex", "concave", "affine"};
@@ -295,7 +295,7 @@ def classify_convexity(F, lo, hi, samples=CONVEXITY_SAMPLES):
     if lo == hi:
         xs = np.array([lo])
     else:
-        xs = np.linspace(lo, hi, samples)
+        xs = np.linspace(lo, hi, CONVEXITY_SAMPLES)
     F.check_domain(xs)
     with np.errstate(all="ignore"):    # an overflow is rejected just below
         d2 = np.asarray(F.deriv2(xs), dtype=float)

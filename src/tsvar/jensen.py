@@ -39,7 +39,7 @@ class InequalityReport:
     f_is_constant: bool
 
     @classmethod
-    def build(cls, lhs, rhs, direction, f_values, tol=EQUALITY_TOL):
+    def build(cls, lhs, rhs, direction, f_values):
         lhs = _finite("lhs", lhs)
         rhs = _finite("rhs", rhs)
         gap = _finite("gap", lhs - rhs if direction == "convex_ge" else rhs - lhs)
@@ -49,8 +49,8 @@ class InequalityReport:
             rhs=rhs,
             gap=gap,
             direction=direction,
-            holds=gap >= -tol,
-            equality=abs(gap) <= tol,
+            holds=gap >= -EQUALITY_TOL,
+            equality=abs(gap) <= EQUALITY_TOL,
             f_is_constant=spread <= CONSTANCY_TOL,
         )
 
@@ -219,12 +219,9 @@ def _apply_inverse(fn, target, xmin, xmax):
         return float(fn.inverse(target))
     except (NotImplementedError, DomainError):
         pass
-    lo, hi = xmin - POINT_PAD, xmax + POINT_PAD
-    increasing = float(fn.deriv(0.5 * (xmin + xmax))) > 0
-    if increasing:
-        return invert_increasing(fn, target, lo, hi)
-    return invert_increasing(lambda x: -fn(x), -target, lo, hi,
-                             gprime=lambda x: -fn.deriv(x))
+    s = 1.0 if float(fn.deriv(0.5 * (xmin + xmax))) > 0 else -1.0
+    return invert_increasing(lambda x: s * fn(x), s * target, xmin - POINT_PAD,
+                             xmax + POINT_PAD, gprime=lambda x: s * fn.deriv(x))
 
 
 POINT_PAD = 1e-9

@@ -55,6 +55,8 @@ class VariationalProblem:
             raise ParameterError("power_weighted problem needs an exponent")
         if self.alpha is not None and not math.isfinite(self.alpha):
             raise ParameterError(f"exponent {self.alpha} is not finite")
+        if not math.isfinite(self.B):
+            raise ParameterError(f"boundary value B = {self.B} is not finite")
         if len(self.ts) < 2:
             raise PreconditionError("the time scale has one point, so a = b")
 
@@ -155,11 +157,12 @@ def solve_power_weighted(p: VariationalProblem) -> Solution:
         raise PreconditionError("power_weighted problem requires B > 0")
     # an overflow here shows as a non-finite C, rejected below
     with np.errstate(all="ignore"):
-        probe = np.asarray(phi(np.linspace(0.0, B, 257)), dtype=float)
+        xs = np.linspace(0.0, B, 257)
+        probe = np.asarray(phi(xs), dtype=float)
         C = float(G(B)) / span
-    if np.any(probe <= 0.0):
-        raise DomainError("phi must be positive on [0, B]")
-    phi.check_domain(np.linspace(0.0, B, 257))
+        if np.any(probe <= 0.0):
+            raise DomainError("phi must be positive on [0, B]")
+        phi.check_domain(xs)
     if not math.isfinite(C):
         raise DomainError(f"C = {C} is not finite")
     target = C * (ts.points - ts.a)
@@ -296,13 +299,12 @@ def _admissibility(p: VariationalProblem, y):
     Y = yvals.reshape(-1, yvals.shape[-1])
     rows, error = np.arange(len(Y)), None
 
-    def drop(bad, fault, *more):
-        # bad flags the rows to drop, also from more; fault() is their error
+    def drop(bad, fault):
+        # bad flags the rows to drop; fault() is their error
         nonlocal rows, error, Y, d
         if bad.any():
             error = error or fault()
-            rows, Y, d, *more = (a[~bad] for a in (rows, Y, d, *more))
-        return more
+            rows, Y, d = (a[~bad] for a in (rows, Y, d))
 
     with np.errstate(all="ignore"):
         d = ts.delta_derivative_grid(yvals).reshape(Y.shape)

@@ -17,7 +17,6 @@ a stack of grid functions is handled in one call.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,21 +29,6 @@ POINT_TOL = 1e-12
 
 #: default quadrature nodes per continuous interval (forced odd, >= 5)
 DEFAULT_QUAD_NODES = 129
-
-_QUAD_NODES_ENV = "TSVAR_QUAD_NODES"
-
-
-def default_quad_nodes():
-    raw = os.environ.get(_QUAD_NODES_ENV)
-    if raw is None:
-        return DEFAULT_QUAD_NODES
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConstructionError(f"bad {_QUAD_NODES_ENV}={raw!r}") from exc
-    if n < 2:
-        raise ConstructionError(f"{_QUAD_NODES_ENV} must be >= 2")
-    return n
 
 
 def _force_odd(n):
@@ -61,7 +45,7 @@ class TimeScale:
 
     def __init__(self, atoms=(), intervals=(), quad_nodes_per_interval=None):
         if quad_nodes_per_interval is None:
-            quad_nodes_per_interval = default_quad_nodes()
+            quad_nodes_per_interval = DEFAULT_QUAD_NODES
         if quad_nodes_per_interval < 2:
             raise ConstructionError("quad_nodes_per_interval must be >= 2")
         self.quad_nodes_per_interval = int(quad_nodes_per_interval)
@@ -255,23 +239,25 @@ class TimeScale:
         integrate the cubic through the four surrounding nodes, the first
         and last gap the one-sided cubic.  Exact for cubics.
         """
+        if not self.intervals:
+            return self._mu[:-1] * vals[..., :-1]
+        lo, hi = self._gap_range
+        # positions between intervals overflow freely; they are dropped.
+        # c's temporaries are freed before out is allocated
+        with np.errstate(all="ignore"):
+            c = 13.0 * vals[..., lo:hi]
+            c -= vals[..., lo - 1:hi - 1]
+            c += 13.0 * vals[..., lo + 1:hi + 1]
+            c -= vals[..., lo + 2:hi + 2]
+            c *= self._gap_h24
         out = self._mu[:-1] * vals[..., :-1]
-        if self.intervals:
-            lo, hi = self._gap_range
-            # positions between intervals overflow freely; they are dropped
-            with np.errstate(all="ignore"):
-                c = 13.0 * vals[..., lo:hi]
-                c -= vals[..., lo - 1:hi - 1]
-                c += 13.0 * vals[..., lo + 1:hi + 1]
-                c -= vals[..., lo + 2:hi + 2]
-                c *= self._gap_h24
-            np.copyto(out[..., lo:hi], c, where=self._inner_gaps)
-            del c
-            f = vals[..., self._window]
-            out[..., self._spans[:, 0]] = self._h24 * (
-                9.0 * f[..., 0] + 19.0 * f[..., 1] - 5.0 * f[..., 2] + f[..., 3])
-            out[..., self._last_gaps] = self._h24 * (
-                9.0 * f[..., -1] + 19.0 * f[..., -2] - 5.0 * f[..., -3] + f[..., -4])
+        np.copyto(out[..., lo:hi], c, where=self._inner_gaps)
+        del c
+        f = vals[..., self._window]
+        out[..., self._spans[:, 0]] = self._h24 * (
+            9.0 * f[..., 0] + 19.0 * f[..., 1] - 5.0 * f[..., 2] + f[..., 3])
+        out[..., self._last_gaps] = self._h24 * (
+            9.0 * f[..., -1] + 19.0 * f[..., -2] - 5.0 * f[..., -3] + f[..., -4])
         return out
 
     def delta_integral(self, f, lo=None, hi=None):
@@ -377,10 +363,6 @@ class GridFunction:
     def __call__(self, t):
         return float(self.values[self.timescale.index_of(t)])
 
-    @property
-    def spread(self):
-        return float(np.max(self.values) - np.min(self.values))
-
 
 def pad_kappa(vals, ts):
     """vals as floats; values on [a, b]^kappa without b (b left-scattered)
@@ -430,8 +412,6 @@ def real_interval(a, b, nodes=None):
     """Single closed interval [a, b] with the given quadrature resolution."""
     if not a < b:
         raise ConstructionError("real_interval requires a < b")
-    if nodes is None:
-        nodes = default_quad_nodes()
     return TimeScale(intervals=[(a, b)], quad_nodes_per_interval=nodes)
 
 

@@ -38,6 +38,9 @@ PERTURB_SLACK = 1e-12
 #: 2-vCPU x86-64 machine)
 BLOCK_VALUES = 2 ** 14
 
+#: most lattice candidates the exhaustive mode covers
+EXHAUSTIVE_BUDGET = 10 ** 7
+
 
 def _rows(width):
     """Rows of `width` values per block: BLOCK_VALUES values, or one row."""
@@ -131,8 +134,7 @@ def _global_report(p, count, best_y, closed, sign, mode, **more):
                         "certified" if ok else "refuted", mode, **more)
 
 
-def exhaustive_verify(p: VariationalProblem, resolution: float,
-                      budget: int = 10 ** 7) -> OracleReport:
+def exhaustive_verify(p: VariationalProblem, resolution: float) -> OracleReport:
     """Cover every lattice-admissible trajectory and compare the best with
     the closed form.
 
@@ -150,10 +152,11 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
     computed value (largest for a maximum); `optima_count` counts the
     candidates within CERTIFY_SLACK of it.  An empty lattice (no n-1
     positive increments leave a positive tail) raises PreconditionError,
-    and a lattice too fine to count BudgetError.  Candidates go in blocks
-    of `_rows(n + 1)` rows, and the programme's level pairs in tiles of
-    BLOCK_VALUES, so working memory stays within BLOCK_VALUES values a
-    block apart from vectors with one entry per level.
+    and a lattice of more than EXHAUSTIVE_BUDGET candidates, or too fine
+    to count, BudgetError.  Candidates go in blocks of `_rows(n + 1)`
+    rows, and the programme's level pairs in tiles of BLOCK_VALUES, so
+    working memory stays within BLOCK_VALUES values a block apart from
+    vectors with one entry per level.
     """
     _require_discrete(p, max_atoms=8)
     if not 0 < resolution < math.inf:
@@ -171,9 +174,9 @@ def exhaustive_verify(p: VariationalProblem, resolution: float,
     exact = abs(ratio - round(ratio)) <= 1e-9
     bound = m - 1 if exact else m       # max lattice sum leaving a positive tail
     count = math.comb(max(bound, 0), n - 1)
-    if count > budget:
+    if count > EXHAUSTIVE_BUDGET:
         raise BudgetError(
-            f"{count} candidates exceed the budget of {budget}; "
+            f"{count} candidates exceed the budget of {EXHAUSTIVE_BUDGET}; "
             f"use a coarser resolution"
         )
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from tsvar.errors import ConstructionError
-from tsvar.timescale import (POINT_TOL, _EDGE0_W, _EDGE1_W, _force_odd,
-                             default_quad_nodes)
+from tsvar.timescale import (DEFAULT_QUAD_NODES, POINT_TOL, _EDGE0_W,
+                             _EDGE1_W, _force_odd)
 
 
 class ReferenceTimeScale:
@@ -22,7 +22,7 @@ class ReferenceTimeScale:
 
     def __init__(self, atoms=(), intervals=(), quad_nodes_per_interval=None):
         if quad_nodes_per_interval is None:
-            quad_nodes_per_interval = default_quad_nodes()
+            quad_nodes_per_interval = DEFAULT_QUAD_NODES
         if quad_nodes_per_interval < 2:
             raise ConstructionError("quad_nodes_per_interval must be >= 2")
         self.quad_nodes_per_interval = int(quad_nodes_per_interval)

@@ -736,19 +736,27 @@ class TestEntryPoint:
         assert res.returncode == 0
         assert strict_json(res.stdout)["C"] == pytest.approx(10.0)
 
-    def test_quad_nodes_env_var(self, tmp_path):
+    @staticmethod
+    def solve_interval(tmp_path, timescale, **env):
+        """Rows of trajectory.csv and stdout of a subprocess solve on [0, 1]."""
         payload = {
             "schema_version": "1",
-            "timescale": {"kind": "real_interval", "a": 0, "b": 1},
+            "timescale": {"kind": "real_interval", "a": 0, "b": 1, **timescale},
             "problem": {"kind": "power_weighted", "B": math.log(2),
                         "alpha": 2, "phi": {"family": "exp"}},
         }
         f = tmp_path / "p.json"
         f.write_text(json.dumps(payload))
-        res = run_module(["solve", str(f), "-o", str(tmp_path / "out")],
-                         TSVAR_QUAD_NODES="33")
+        res = run_module(["solve", str(f), "-o", str(tmp_path / "out")], **env)
         assert res.returncode == 0
         rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        return rows, strict_json(res.stdout)
+
+    def test_quad_nodes_from_file(self, tmp_path):
+        rows, out = self.solve_interval(tmp_path, {"nodes": 33})
         assert len(rows) == 1 + 33
-        assert strict_json(res.stdout)["optimal_value"] == pytest.approx(
-            1.0, abs=1e-8)
+        assert out["optimal_value"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_quad_nodes_ignore_environment(self, tmp_path):
+        rows, _ = self.solve_interval(tmp_path, {}, TSVAR_QUAD_NODES="33")
+        assert len(rows) == 1 + 129

@@ -233,6 +233,27 @@ class TestQuasiArithmetic:
         assert rep.holds
         assert rep.rhs == pytest.approx(1.6, abs=1e-10)  # harmonic mean of 1, 4
 
+    # phi with no closed-form inverse: the phi-mean comes from the monotone
+    # search, against the exact root
+    F5 = np.array([1.0, 2.0, 3.5, 0.7, 5.0])
+
+    def test_search_inverse_increasing(self):
+        from tsvar import Polynomial
+        ts = uniform(0, 1, 4)
+        mean = np.mean(self.F5[:4] + self.F5[:4] ** 2)
+        rep = quasi_arithmetic_gap(ts, self.F5, Polynomial([0.0, 1.0, 1.0]),
+                                   Identity())
+        assert rep.rhs == pytest.approx((math.sqrt(1.0 + 4.0 * mean) - 1.0) / 2.0,
+                                        abs=1e-12)
+
+    def test_search_inverse_decreasing(self):
+        from tsvar import Polynomial, Transformed
+        ts = uniform(0, 1, 4)
+        phi = Transformed(Polynomial([0.0, 0.0, 1.0]), out_scale=-1.0)
+        rep = quasi_arithmetic_gap(ts, self.F5, phi, Identity())
+        assert rep.rhs == pytest.approx(math.sqrt(np.mean(self.F5[:4] ** 2)),
+                                        abs=1e-12)
+
     def test_noninjective_phi_rejected(self):
         from tsvar import Polynomial
         f = GridFunction(T3, [-1.0, 1.0])

@@ -212,6 +212,16 @@ class TestDegenerateAndOverflow:
             VariationalProblem("power_weighted", uniform(0, 1, 4), B, phi,
                                alpha=alpha)
 
+    @pytest.mark.parametrize("B", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["power_weighted", "exp_derivative",
+                                      "xlogx_shifted"])
+    def test_nonfinite_boundary_value_rejected(self, kind, B):
+        # B = inf once leaked a RuntimeWarning from the power-weighted solve
+        # and blamed phi's domain
+        with pytest.raises(ParameterError, match="not finite"):
+            VariationalProblem(kind, uniform(0, 1, 4), B, Constant(1.0),
+                               alpha=2.0)
+
     def test_exp_optimal_value_overflow(self):
         p = VariationalProblem("exp_derivative", uniform(0, 5, 5), 5000.0,
                                Constant(1.0))

@@ -83,8 +83,9 @@ class TestExhaustive:
         assert rep.best_value_found == pytest.approx(2.0, abs=1e-3)
 
     def test_budget_error(self):
-        with pytest.raises(BudgetError):
-            exhaustive_verify(worked_problem(), resolution=0.01, budget=1000)
+        # C(2499, 4) ~ 1.6e12 candidates, past EXHAUSTIVE_BUDGET
+        with pytest.raises(BudgetError, match="candidates exceed the budget"):
+            exhaustive_verify(worked_problem(), resolution=0.01)
 
     def test_continuous_scale_rejected(self):
         p = VariationalProblem("exp_derivative", real_interval(0, 1, 9), 1.0,
