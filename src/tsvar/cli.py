@@ -91,8 +91,10 @@ def _pairs(value, name):
 # -- variant tables: name -> (constructor, required keys passed in order,
 # -- optional keys -> the argument names they are passed by when present) --
 
-# a table of names alone: the version requires and builds nothing
+# tables of names alone: a version, or a problem kind, builds nothing
 _VERSIONS = {SCHEMA_VERSION: (None, (), {})}
+_PROBLEMS = {kind: (None, ("alpha",) if k.needs_alpha else (), {})
+             for kind, k in solvers.KINDS.items()}
 
 _SCALES = {
     "uniform": (timescale.uniform, ("a", "b", "n"), {}),
@@ -123,7 +125,7 @@ _CHECKS = {
                ("F",), {}),
     **{kind: (lambda ts, f, alpha=None, kind=kind: jensen.special_case_gap(
         kind, ts, f, alpha=alpha), (), {"alpha": "alpha"})
-       for kind in ("power", "reciprocal_power", "exp", "log", "xlogx")},
+       for kind in jensen.SPECIAL_KINDS},
     "quasi_arithmetic": (lambda ts, f, phi, psi: jensen.quasi_arithmetic_gap(
         ts, f, parse_function(phi), parse_function(psi)), ("phi", "psi"), {}),
 }
@@ -149,7 +151,7 @@ _SCHEMA = {
                   {"a": _number, "b": _number, "n": _integer, "q": _number,
                    "m": _integer, "nodes": _integer, "atoms": _numbers,
                    "intervals": _pairs, "quad_nodes": _integer}),
-    "problem": ({"kind": _string, "B": _number, "phi": "function"},
+    "problem": ({"kind": _PROBLEMS, "B": _number, "phi": "function"},
                 {"alpha": _number}),
     "function": ({"family": _FAMILIES},
                  {"value": _number, "slope": _number, "intercept": _number,

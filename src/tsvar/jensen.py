@@ -25,6 +25,9 @@ EQUALITY_TOL = 1e-10
 #: tolerance on max(f) - min(f) for declaring f constant
 CONSTANCY_TOL = 1e-8
 
+#: the kinds of special_case_gap's corollary inequalities
+SPECIAL_KINDS = ("power", "reciprocal_power", "exp", "log", "xlogx")
+
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -125,10 +128,11 @@ def jensen_gap(ts: TimeScale, f, F) -> InequalityReport:
 def special_case_gap(kind: str, ts: TimeScale, f, alpha=None) -> InequalityReport:
     """Gap of one of the specialized corollary inequalities.
 
-    kind is one of "power", "reciprocal_power", "exp", "log", "xlogx";
-    power variants take the exponent alpha.  lhs/rhs are exactly the two
-    sides as the corollaries state them (no normalization by b - a).
+    kind is one of SPECIAL_KINDS; power variants take the exponent alpha.
+    lhs/rhs are the corollaries' two sides as stated (no normalization by b - a).
     """
+    if kind not in SPECIAL_KINDS:
+        raise ParameterError(f"unknown special inequality kind {kind!r}")
     f = _as_grid(ts, f)
     span = ts.b - ts.a
     vals = f.values[:len(ts.kappa_points())]
@@ -165,12 +169,10 @@ def special_case_gap(kind: str, ts: TimeScale, f, alpha=None) -> InequalityRepor
         direction = "concave_le"
         lhs = _kappa_integral(ts, np.log(vals))
         rhs = span * math.log(total / span)
-    elif kind == "xlogx":
+    else:
         direction = "convex_ge"
         lhs = _kappa_integral(ts, vals * np.log(vals))
         rhs = total * math.log(total / span)
-    else:
-        raise ParameterError(f"unknown special inequality kind {kind!r}")
     return InequalityReport.build(lhs, rhs, direction, vals)
 
 

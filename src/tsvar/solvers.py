@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,8 +35,6 @@ BOUNDARY_TOL = 1e-9
 #: strict-positivity threshold on delta derivatives
 POSITIVITY_TOL = 1e-12
 
-KINDS = ("power_weighted", "exp_derivative", "xlogx_shifted")
-
 
 @dataclass(frozen=True)
 class VariationalProblem:
@@ -51,8 +49,8 @@ class VariationalProblem:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown problem kind {self.kind!r}")
-        if self.kind == "power_weighted" and self.alpha is None:
-            raise ParameterError("power_weighted problem needs an exponent")
+        if KINDS[self.kind].needs_alpha and self.alpha is None:
+            raise ParameterError(f"{self.kind} problem needs an exponent")
         if self.alpha is not None and not math.isfinite(self.alpha):
             raise ParameterError(f"exponent {self.alpha} is not finite")
         if not math.isfinite(self.B):
@@ -99,12 +97,12 @@ def _misses_b(p, yb):
     return np.abs(yb - p.B) > BOUNDARY_TOL
 
 
-def _trajectory(p, yvals):
+def _trajectory(p, yvals, increasing=False):
     """The closed form's values yvals as a GridFunction that meets the
-    walk's boundary rule at b.  A miss past BOUNDARY_TOL but within
-    BOUNDARY_TOL * max(1, |B|) is rounding at the scale of B, and y(b) is
-    set to B; a larger one is cancellation, and raises DomainError.  A miss
-    the rule admits is kept, so the trajectory stays the closed form's."""
+    walk's boundary rule at b (and increase rule, if ``increasing``).  A
+    miss past BOUNDARY_TOL but within BOUNDARY_TOL * max(1, |B|) is rounding
+    at the scale of B, and y(b) is set to B; a larger one is cancellation,
+    and raises DomainError.  A miss the rule admits is kept, as it is."""
     traj = GridFunction(p.ts, yvals)
     yb = float(traj.values[-1])
     miss, tol = abs(yb - p.B), BOUNDARY_TOL * max(1.0, abs(p.B))
@@ -113,6 +111,10 @@ def _trajectory(p, yvals):
                           f"{miss} (y(b) = {yb}), more than {tol}")
     if _misses_b(p, yb):
         traj.values[-1] = p.B
+    if increasing:
+        bad, fault = _increasing(p, None, p.ts.delta_derivative_grid(traj)[None])
+        if bad.any():
+            raise fault()
     return traj
 
 
@@ -128,11 +130,7 @@ def _solution(p, traj, extremum, span, C, value):
 
 
 def solve(p: VariationalProblem) -> Solution:
-    if p.kind == "power_weighted":
-        return solve_power_weighted(p)
-    if p.kind == "exp_derivative":
-        return solve_exp_derivative(p)
-    return solve_xlogx_shifted(p)
+    return KINDS[p.kind].solve(p)
 
 
 def solve_power_weighted(p: VariationalProblem) -> Solution:
@@ -172,8 +170,7 @@ def solve_power_weighted(p: VariationalProblem) -> Solution:
     # doubling, which still orders correctly against every finite target
     with np.errstate(over="ignore"):
         yvals[pos] = invert_increasing(G, target[pos], 0.0, gprime=phi)
-    traj = _trajectory(p, yvals)
-    _require_increasing(ts, ts.delta_derivative_grid(traj))
+    traj = _trajectory(p, yvals, increasing=True)
     extremum = "min" if (alpha < 0.0 or alpha > 1.0) else "max"
     return _solution(p, traj, extremum, span, C, lambda span, C: span * C ** alpha)
 
@@ -211,9 +208,7 @@ def _jensen_equality(p, g, value, increasing=False):
                 point=t_bad,
             )
     yvals[0] = 0.0
-    traj = _trajectory(p, yvals)
-    if increasing:
-        _require_increasing(ts, ts.delta_derivative_grid(traj))
+    traj = _trajectory(p, yvals, increasing)
     return _solution(p, traj, "min", span, C, value)
 
 
@@ -232,35 +227,78 @@ def solve_xlogx_shifted(p: VariationalProblem) -> Solution:
                             increasing=True)
 
 
-def _not_increasing(ts, d):
-    """Where the delta derivatives d, of shape (..., n), are not strictly
-    positive on [a, b]^kappa: a mask of shape (..., kappa points)."""
-    return d[..., :len(ts.kappa_points())] <= POSITIVITY_TOL
+def _increasing(p, Y, d):
+    """Rows not strictly increasing on [a, b]^kappa; errs at the first such t."""
+    ts, kap = p.ts, slice(len(p.ts.kappa_points()))
+    def fault():
+        t_bad = float(ts.points[np.flatnonzero(
+            (d[:, kap] <= POSITIVITY_TOL).any(axis=0))[0]])
+        return AdmissibilityError(
+            f"delta derivative not strictly positive at t = {t_bad}",
+            point=t_bad, condition="y_delta > 0")
+    return (d[:, kap] <= POSITIVITY_TOL).any(axis=1), fault
 
 
-def _increase_error(ts, flat):
-    """AdmissibilityError at the first kappa-point flagged in some row of
-    the mask flat."""
-    t_bad = float(ts.points[np.flatnonzero(
-        flat.reshape(-1, flat.shape[-1]).any(axis=0))[0]])
-    return AdmissibilityError(
-        f"delta derivative not strictly positive at t = {t_bad}",
-        point=t_bad, condition="y_delta > 0")
+def _in_phi_domain(p, Y, d):
+    """Rows with a jump end outside phi's domain: at kappa, or b after a jump."""
+    ts, kap = p.ts, slice(len(p.ts.kappa_points()))
+    to_b = np.abs(ts._mu[kap][-1] * d[:, kap][:, -1]) >= JUMP_TOL
+    outside = p.phi.outside_domain
+    return (outside(Y[:, kap]).any(axis=1) | (outside(Y[:, -1]) & to_b),
+            p.phi.domain_error)
 
 
-def _require_increasing(ts, d):
-    flat = _not_increasing(ts, d)
-    if flat.any():
-        raise _increase_error(ts, flat)
+def _shift_positive(p, Y, d):
+    """Rows with phi + y^Delta <= 0; errs where it is least over all the rows."""
+    ts, kap = p.ts, slice(len(p.ts.kappa_points()))
+    # phi + y^Delta is formed once, by the integrand: a float sum is <= 0
+    # just when the exact sum is, so when y^Delta <= -phi; -phi = inf is read
+    # as the largest float, as inf - inf is NaN (-inf failed the increase rule)
+    limit = np.minimum(-p.phi_on_kappa, sys.float_info.max)
+    def fault():
+        t_bad = float(ts.points[np.argmin(
+            (p.phi_on_kappa + d[:, kap]).min(axis=0))])
+        return AdmissibilityError(
+            f"phi + y_delta must be positive; fails at t = {t_bad}",
+            point=t_bad, condition="phi + y_delta > 0")
+    return (d[:, kap] <= limit).any(axis=1), fault
 
 
-def _shift_error(ts, s):
-    """AdmissibilityError at the kappa-point where the shifted derivatives
-    s = phi + y^Delta, of shape (k, kappa points), are least."""
-    t_bad = float(ts.points[np.argmin(s.min(axis=0))])
-    return AdmissibilityError(
-        f"phi + y_delta must be positive; fails at t = {t_bad}",
-        point=t_bad, condition="phi + y_delta > 0")
+def _power_integrand(p, y, d, mu, rise, at):
+    return chain_delta(p.phi, y, d, mu, rise) ** p.alpha
+
+
+def _exp_integrand(p, y, d, mu, rise, at):
+    return p.phi_on_kappa[at] * np.exp(d)
+
+
+def _xlogx_integrand(p, y, d, mu, rise, at):
+    s = p.phi_on_kappa[at] + d
+    out = np.maximum(s, 1e-300)
+    np.log(out, out=out)
+    out *= s
+    return out
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What makes a problem kind a kind, read wherever kinds differ."""
+
+    solve: Callable           # p -> Solution
+    integrand: Callable       # as gap_integrand takes it
+    # the walk's rules after the boundary values, in order: (p, Y, d) ->
+    # (mask of the rows dropped, a function building their error)
+    rules: tuple = ()
+    needs_alpha: bool = False
+
+
+KINDS = {
+    "power_weighted": _Kind(solve_power_weighted, _power_integrand,
+                            (_increasing, _in_phi_domain), needs_alpha=True),
+    "exp_derivative": _Kind(solve_exp_derivative, _exp_integrand),
+    "xlogx_shifted": _Kind(solve_xlogx_shifted, _xlogx_integrand,
+                           (_increasing, _shift_positive)),
+}
 
 
 def gap_integrand(p: VariationalProblem, y, d, mu, rise, at):
@@ -269,16 +307,7 @@ def gap_integrand(p: VariationalProblem, y, d, mu, rise, at):
     G' = phi, by chain_delta (rise() gives G(y(sigma)) - G(y)) for the
     power-weighted class; phi e^d or (phi + d) ln(phi + d) for the others,
     with phi at the kappa-points ``at`` (an index into phi_on_kappa)."""
-    if p.kind == "power_weighted":
-        return chain_delta(p.phi, y, d, mu, rise) ** p.alpha
-    phi = p.phi_on_kappa[at]
-    if p.kind == "exp_derivative":
-        return phi * np.exp(d)
-    s = phi + d
-    out = np.maximum(s, 1e-300)
-    np.log(out, out=out)
-    out *= s
-    return out
+    return KINDS[p.kind].integrand(p, y, d, mu, rise, at)
 
 
 def _admissibility(p: VariationalProblem, y):
@@ -315,23 +344,8 @@ def _admissibility(p: VariationalProblem, y):
         drop(off, lambda: AdmissibilityError(
             f"y(b) = {float(Y[off, -1][0])} differs from B = {p.B}",
             point=ts.b, condition="y(b) = B"))
-        if p.kind != "exp_derivative":
-            drop(_not_increasing(ts, d).any(axis=1),
-                 lambda: _increase_error(ts, _not_increasing(ts, d)))
-        if p.kind == "power_weighted":
-            # each jump's ends lie in phi's domain: kappa, and b if a jump ends there
-            to_b = np.abs(ts._mu[kap][-1] * d[:, kap][:, -1]) >= JUMP_TOL
-            outside = p.phi.outside_domain
-            drop(outside(Y[:, kap]).any(axis=1) | (outside(Y[:, -1]) & to_b),
-                 p.phi.domain_error)
-        if p.kind == "xlogx_shifted":
-            # phi + y^Delta is formed once, by the integrand: a float sum
-            # is <= 0 just when the exact sum is, so when y^Delta <= -phi;
-            # -phi = inf is read as the largest float, as inf - inf is NaN
-            # (-inf derivatives failed the increase check)
-            limit = np.minimum(-p.phi_on_kappa, sys.float_info.max)
-            drop((d[:, kap] <= limit).any(axis=1),
-                 lambda: _shift_error(ts, p.phi_on_kappa + d[:, kap]))
+        for rule in KINDS[p.kind].rules:
+            drop(*rule(p, Y, d))
         def rise():  # G's rise over each gap, from one antiderivative per node
             G = p.phi.antideriv(Y)
             G[:, :-1] = np.diff(G, axis=1)

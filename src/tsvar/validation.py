@@ -74,11 +74,9 @@ class OracleReport:
         }
 
 
-def _require_discrete(p, max_atoms=None):
+def _require_discrete(p):
     if not p.ts.is_discrete:
         raise PreconditionError("oracle requires a purely discrete time scale")
-    if max_atoms is not None and len(p.ts.points) > max_atoms:
-        raise PreconditionError(f"oracle limited to {max_atoms} atoms")
 
 
 def _best_of(p, blocks, sign):
@@ -158,7 +156,7 @@ def exhaustive_verify(p: VariationalProblem, resolution: float) -> OracleReport:
     working memory stays within BLOCK_VALUES values a block apart from
     vectors with one entry per level.
     """
-    _require_discrete(p, max_atoms=8)
+    _require_discrete(p)
     if not 0 < resolution < math.inf:
         raise PreconditionError("resolution must be positive and finite")
     sol, closed, extremum = _closed_form(p)

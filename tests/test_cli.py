@@ -340,6 +340,27 @@ class TestSolve:
         assert code == 2
         assert out == "" and err.startswith("error[parse]") and "'B'" in err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("problem,key", [
+        ({"kind": "bogus", "B": 2, "phi": {"family": "constant", "value": 1}},
+         "kind"),
+        ({"kind": "power_weighted", "B": 2,
+          "phi": {"family": "constant", "value": 1}}, "alpha"),
+    ], ids=["unknown_kind", "missing_alpha"])
+    def test_problem_kind_exit_2(self, tmp_path, capsys, command, problem, key):
+        # the schema reads the kinds and the keys they need from the
+        # solvers' table, so neither fault waits for the problem to be built
+        bad = dict(WORKED_PROBLEM, problem=problem,
+                   timescale={"kind": "uniform", "a": 0, "b": 1, "n": 4},
+                   oracle={"mode": "random", "samples": 5})
+        f = write_json(tmp_path / "p.json", bad)
+        argv = [command, f] + (["-o", str(tmp_path / "out")]
+                               if command == "solve" else [])
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error[parse]")
+        assert repr(key) in err
+
     @pytest.mark.parametrize("sub", ["", "sub"])
     def test_unwritable_out_dir_exit_2(self, tmp_path, capsys, sub):
         # -o names a regular file, or a directory below one
@@ -397,7 +418,8 @@ def test_every_leaf_key_rejects_a_wrong_type(tmp_path, capsys, block, key, kind)
 
 @pytest.mark.parametrize("block,table", [
     ("timescale", cli._SCALES), ("function", cli._FAMILIES),
-    ("check", cli._CHECKS), ("oracle", cli._ORACLES)])
+    ("check", cli._CHECKS), ("oracle", cli._ORACLES),
+    ("problem", cli._PROBLEMS)])
 def test_variant_keys_are_in_the_schema(block, table):
     # a key a variant reads is one its block accepts, with a leaf kind
     required, optional = cli._SCHEMA[block]

@@ -202,8 +202,10 @@ class TestSpecialCases:
                 special_case_gap(kind, T3, GridFunction(T3, [1, -2]), alpha=2)
 
     def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            special_case_gap("nope", T3, GridFunction(T3, [1, 2]))
+        # the kind is checked before f, so a non-positive f does not hide it
+        for f in ([1, 2], [-1, 2]):
+            with pytest.raises(ParameterError, match="unknown special"):
+                special_case_gap("nope", T3, GridFunction(T3, f))
 
 
 class TestQuasiArithmetic:

@@ -596,6 +596,30 @@ class TestAdmissible:
             evaluate_functional(p, Y)
         assert admissible(p, Y).tolist() == [False, False, True]
 
+    @pytest.mark.parametrize("kind,phi,alpha,other", [
+        ("xlogx_shifted", Affine(-2.0, 0.5), None, [0, 1, 2]),
+        # phi = log(x - 1) is undefined at y = 0.5
+        ("power_weighted", Transformed(Log(), in_shift=-1.0), 2.0, [0, 0.5, 2]),
+    ])
+    def test_increase_rule_comes_first(self, kind, phi, alpha, other):
+        # other fails the kind's second rule and [0, 2.5, 2] its increase
+        # rule: the increase error is reported, whatever the rows' order
+        p = VariationalProblem(kind, uniform(0, 2, 2), 2.0, phi, alpha=alpha)
+        falling = [0, 2.5, 2]
+        for Y in (np.array([other, falling], dtype=float),
+                  np.array([falling, other], dtype=float)):
+            with pytest.raises(AdmissibilityError) as exc:
+                evaluate_functional(p, Y)
+            assert str(exc.value) == \
+                "delta derivative not strictly positive at t = 1.0"
+            assert (exc.value.point, exc.value.condition) == (1.0, "y_delta > 0")
+            assert admissible(p, Y).tolist() == [False, False]
+
+    def test_exp_derivative_needs_no_increase(self):
+        p = VariationalProblem("exp_derivative", uniform(0, 2, 2), 2.0,
+                               Constant(1.0))
+        assert admissible(p, np.array([0, 2.5, 2.0])) is True
+
     def test_point_is_first_failing_column_over_rows(self):
         p = worked_problem()
         Y = np.array([[0, 9, 16, 21, 20, 25], [0, 9, 8, 21, 24, 25]],

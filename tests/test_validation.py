@@ -156,11 +156,31 @@ class TestExhaustive:
         with pytest.raises(PreconditionError, match="no lattice candidate"):
             exhaustive_verify(p, resolution=1.0)
 
-    def test_atom_cap(self):
+    def test_nine_atoms(self):
+        # 8 gaps, B = 9 at resolution 1: cuts 0 < c_1 < ... < c_7 <= 8, so
+        # 8 candidates, and the best is the least of their values
         p = VariationalProblem("exp_derivative", uniform(0, 8, 8), 9.0,
                                Constant(1.0))
-        with pytest.raises(PreconditionError, match="8 atoms"):
-            exhaustive_verify(p, resolution=1.0)
+        rep = exhaustive_verify(p, resolution=1.0)
+        assert rep.candidates_evaluated == 8
+        assert rep.certified
+        values = [evaluate_functional(p, np.array([0, *cuts, 9], dtype=float))
+                  for cuts in itertools.combinations(range(1, 9), 7)]
+        assert len(values) == 8
+        assert rep.best_value_found == min(values)
+
+    @pytest.mark.parametrize("kind,phi,alpha", [
+        ("power_weighted", Affine(0.5, 1.0), 2.0),
+        ("exp_derivative", Affine(0.3, 0.7), None),
+        ("xlogx_shifted", Affine(0.3, 0.7), None),
+    ])
+    def test_thirty_atoms(self, kind, phi, alpha):
+        # the budget, not the atom count, bounds the lattice: 29 gaps with
+        # B / resolution = 36 give C(35, 28) candidates
+        p = VariationalProblem(kind, uniform(0, 10, 29), 36.0, phi, alpha=alpha)
+        rep = exhaustive_verify(p, resolution=1.0)
+        assert rep.candidates_evaluated == math.comb(35, 28) == 6724520
+        assert rep.certified
 
     def test_resolution_too_fine(self):
         # B / resolution overflows to inf: no lattice can be counted
