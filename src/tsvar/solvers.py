@@ -163,13 +163,11 @@ def solve_power_weighted(p: VariationalProblem) -> Solution:
         phi.check_domain(xs)
     if not math.isfinite(C):
         raise DomainError(f"C = {C} is not finite")
-    target = C * (ts.points - ts.a)
-    pos = target > 0.0
+    # y(a) = 0, y(b) = B, and the interior roots lie in [0, B], where G rises
     yvals = np.zeros(len(ts.points))
-    # G may overflow to +inf while the root finder brackets the root by
-    # doubling, which still orders correctly against every finite target
-    with np.errstate(over="ignore"):
-        yvals[pos] = invert_increasing(G, target[pos], 0.0, gprime=phi)
+    yvals[1:-1] = invert_increasing(G, C * (ts.points[1:-1] - ts.a), 0.0, B,
+                                    gprime=phi)
+    yvals[-1] = B
     traj = _trajectory(p, yvals, increasing=True)
     extremum = "min" if (alpha < 0.0 or alpha > 1.0) else "max"
     return _solution(p, traj, extremum, span, C, lambda span, C: span * C ** alpha)

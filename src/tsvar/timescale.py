@@ -386,16 +386,16 @@ def _grid_values(ts, f):
 # -- constructors ---------------------------------------------------------
 
 
-def uniform(a, b, n, **kw):
+def uniform(a, b, n):
     """n+1 equally spaced atoms on [a, b]."""
     if not a < b:
         raise ConstructionError("uniform requires a < b")
     if n < 1:
         raise ConstructionError("uniform requires n >= 1")
-    return TimeScale(atoms=np.linspace(a, b, int(n) + 1), **kw)
+    return TimeScale(atoms=np.linspace(a, b, int(n) + 1))
 
 
-def q_scale(q, n, m, **kw):
+def q_scale(q, n, m):
     """Atoms {q**n, ..., q**m} of the quantum scale, q > 1."""
     if q <= 1:
         raise ConstructionError("q_scale requires q > 1")
@@ -405,7 +405,7 @@ def q_scale(q, n, m, **kw):
         atoms = [float(q) ** k for k in range(int(n), int(m) + 1)]
     except OverflowError:
         raise ConstructionError(f"q_scale atom {q}**{m} overflows a float") from None
-    return TimeScale(atoms=atoms, **kw)
+    return TimeScale(atoms=atoms)
 
 
 def real_interval(a, b, nodes=None):

@@ -81,11 +81,12 @@ def _require_discrete(p):
 
 def _best_of(p, blocks, sign):
     """(trajectory, near) of the best trajectory, least in sign-adjusted
-    terms and first in order, among those whose first n-1 increments are the
-    rows of the blocks and which end at B exactly, as the admissibility walk
-    values them, `_rows(n + 1)` rows a walk; near counts the values within
-    CERTIFY_SLACK of the best.  The walk skips inadmissible rows, and if no
-    row is admissible its first error is raised (no row: trajectory None)."""
+    terms and first in order, among those whose interior values y_1 ..
+    y_{n-1} are the rows of the blocks, with y_0 = 0 and y_n = B exactly, as
+    the admissibility walk values them, `_rows(n + 1)` rows a walk; near
+    counts the values within CERTIFY_SLACK of the best.  The walk skips
+    inadmissible rows, and if no row is admissible its first error is raised
+    (no row: trajectory None)."""
     best_val, best_y, error = math.inf, None, None
     near = np.empty(0)         # values within CERTIFY_SLACK of the running best
     step = _rows(len(p.ts.points))
@@ -96,7 +97,7 @@ def _best_of(p, blocks, sign):
         # sum it pairwise, so no row's value depends on its block's size
         k = len(head)
         Y = np.zeros((k + (k == 1), head.shape[1] + 2), order="F")
-        np.cumsum(head, axis=1, out=Y[:k, 1:-1])
+        Y[:k, 1:-1] = head
         Y[k:, 1:-1] = Y[:1, 1:-1]
         Y[:, -1] = p.B
         _, rows, err, vals = _admissibility(p, Y)
@@ -136,25 +137,25 @@ def exhaustive_verify(p: VariationalProblem, resolution: float) -> OracleReport:
     """Cover every lattice-admissible trajectory and compare the best with
     the closed form.
 
-    The first n-1 increments are positive multiples of `resolution`; the
-    last, the remainder up to B, must be positive (it absorbs the fraction
-    when B is not a lattice multiple).  That gives C(bound, n-1) candidates,
-    bound the largest lattice sum leaving a positive remainder; they are
-    all covered, and `candidates_evaluated` counts them.  A min-plus dynamic
-    programme over the cut levels {0, ..., bound} bounds every candidate's
-    value from below, and only the candidates whose bound lies within
-    CERTIFY_SLACK of the optimum, plus a rounding margin, are valued, each
-    ending at B exactly, by the admissibility walk (see `_best_of`); every
-    other candidate provably lies further from the best.  The best is the
-    first admissible candidate, in lexicographic order, with the smallest
-    computed value (largest for a maximum); `optima_count` counts the
-    candidates within CERTIFY_SLACK of it.  An empty lattice (no n-1
-    positive increments leave a positive tail) raises PreconditionError,
-    and a lattice of more than EXHAUSTIVE_BUDGET candidates, or too fine
-    to count, BudgetError.  Candidates go in blocks of `_rows(n + 1)`
-    rows, and the programme's level pairs in tiles of BLOCK_VALUES, so
-    working memory stays within BLOCK_VALUES values a block apart from
-    vectors with one entry per level.
+    A candidate's interior values are cut levels y_i = c_i * resolution,
+    integers 0 < c_1 < ... < c_{n-1}, and y_0 = 0, y_n = B; its last
+    increment, B - y_{n-1}, must be positive (it absorbs the fraction when B
+    is not a lattice multiple).  That gives C(bound, n-1) candidates, bound
+    the largest cut leaving a positive last increment; they are all covered,
+    and `candidates_evaluated` counts them.  A min-plus dynamic programme
+    over the cut levels {0, ..., bound} bounds every candidate's value, and
+    only the candidates whose lower bound lies within CERTIFY_SLACK of the
+    least upper bound are valued, at those same levels, by the admissibility
+    walk (see `_best_of`); every other candidate provably lies further from
+    the best.  The best is the first admissible candidate, in lexicographic
+    order, with the smallest computed value (largest for a maximum);
+    `optima_count` counts the candidates within CERTIFY_SLACK of it.  An
+    empty lattice (no n-1 positive increments leave a positive tail) raises
+    PreconditionError, and a lattice of more than EXHAUSTIVE_BUDGET
+    candidates, or too fine to count, BudgetError.  Candidates go in blocks
+    of `_rows(n + 1)` rows, and the programme's level pairs in tiles of
+    BLOCK_VALUES, so working memory stays within BLOCK_VALUES values a block
+    apart from vectors with one entry per level.
     """
     _require_discrete(p)
     if not 0 < resolution < math.inf:
@@ -185,8 +186,8 @@ def exhaustive_verify(p: VariationalProblem, resolution: float) -> OracleReport:
         blocks = _Lattice(p, sign, bound, resolution).near_optimal_cuts()
     else:
         blocks = []
-    heads = (np.diff(cuts, axis=1, prepend=0) * resolution for cuts in blocks)
-    best_y, near = _best_of(p, (h[B - h.sum(axis=1) > 0] for h in heads), sign)
+    ys = (c * resolution for c in blocks)   # y_{n-1} < B; on one step, 0 < B
+    best_y, near = _best_of(p, (y[y.max(1, initial=0.0) < B] for y in ys), sign)
     if best_y is None:
         raise PreconditionError(
             f"no lattice candidate: B = {B} at resolution {resolution} leaves "
@@ -201,11 +202,12 @@ class _Lattice:
     candidates, by a min-plus dynamic programme over their cut levels.
 
     A candidate is a row of cuts 0 < c_1 < ... < c_{n-1} <= bound: its
-    trajectory is y_i = c_i * resolution, with y_0 = 0 and y_n = B.  Level
-    index bound + 1 stands for B, so cut c_n is always that index.  Each
-    gap's term sign * mu_i * I(y_i, y_{i+1}) depends on its two ends only,
-    so the least sum over the cuts after c_i is a table over c_i alone
-    (Bellman's cost-to-go), built backwards one gap at a time.
+    trajectory is y_i = levels[c_i], with y_0 = 0 and y_n = B, the same
+    floats the admissibility walk values it at.  Level index bound + 1
+    stands for B, so cut c_n is always that index.  Each gap's term
+    sign * mu_i * I(y_i, y_{i+1}) depends on its two ends only, so the
+    least sum over the cuts after c_i is a table over c_i alone (Bellman's
+    cost-to-go), built backwards one gap at a time.
     """
 
     def __init__(self, p, sign, bound, resolution):
@@ -213,32 +215,15 @@ class _Lattice:
         self.n = n = len(p.ts.points) - 1
         self.mu = p.ts._gaps
         self.levels = np.append(np.arange(bound + 1) * resolution, float(p.B))
-        # The rounding margin delta, carried term by term.  _best_of
-        # builds y_i, i < n, as a running sum of rounded increments, and
-        # sets y_n = B exactly; each lies within (2n + 3) u Y of the exact
-        # level (u = 2**-53, Y = max(|B|, bound * resolution)), and so does
-        # each level here (y_n and the level of B are exact, so their share
-        # of the margin is headroom).  So the walk computes the same
-        # integrand as here, at ends shifted by at most eps = 2 (2n + 3) u
-        # max(Y, 1): the factor 2 is headroom, and max(Y, 1) also covers the
-        # rounding of phi's antiderivative A in the power-weighted term, of
-        # order u max(y, 1) phi(y) for the library's weights.  Each integrand
-        # is monotone in each end (that term, ((A(y_{i+1}) - A(y_i)) /
-        # mu)^alpha, as A is increasing), or convex in their difference, so
-        # over the shifted ends its exact value lies in [lo - spread, hi],
-        # with lo and hi the least and greatest of its values at the nominal
-        # ends and at the two far corners, and spread = hi - lo (a convex term
-        # dips below lo by less than spread).  On top, each side rounds the
-        # integrand by a few ulps and sums at most n + 1 terms (Higham's
-        # gamma_{n+1}); rho |term|, with rho = 4 (n + 8) u, covers both
-        # twice.  So a term's bounds are lo - pad and hi + pad, pad = spread +
-        # rho |term|, and a candidate's computed value lies between the sums
-        # of its bounds, within delta = sum(spread + pad) of the sum of its
-        # nominal terms.
+        # The rounding margin.  The walk values a candidate at these same
+        # floats by the same operations, so its terms are the t here, up to
+        # the few ulps by which numpy's exp, log and power kernels may differ
+        # between array layouts; only the sums' orders differ.  A sum of at
+        # most n + 1 terms errs by gamma_{n+1} sum |t| ~ (n + 1) u sum |t|
+        # (Higham 2002, sec. 4.2; u = 2**-53), so a term's bounds are
+        # t -/+ rho |t|, rho = 4 (n + 8) u: 2 (n + 1) u for the two sums, and
+        # as much again plus 28 u for the terms' ulps and their own rounding.
         u = np.finfo(float).eps / 2
-        eps = 2 * (2 * n + 3) * u * max(abs(float(p.B)), bound * resolution, 1.0)
-        # the nominal ends, then the two far corners of the shifted ends
-        self.shift = np.array([0.0, -1.0, 1.0])[:, None, None] * eps
         self.rho = 4 * (n + 8) * u
         self.tables = {}              # gap -> (low, high) of all its level pairs
 
@@ -254,17 +239,15 @@ class _Lattice:
         """(low, high): bounds on gap i's term from levels js (column) to
         levels ks (row), +inf where the gap is not positive."""
         mu, phi = self.mu[i], self.p.phi
-        y0 = self.levels[js][:, None] + (self.shift if i else 0.0)  # y_0 = 0
-        y1 = self.levels[ks] - self.shift
+        y0, y1 = self.levels[js][:, None], self.levels[ks]
         with np.errstate(all="ignore"):
             d = (y1 - y0) / mu
             t = self.sign * mu * gap_integrand(
                 self.p, y0, d, mu,
                 lambda: phi.antideriv(y1) - phi.antideriv(y0), i)
-            lo, hi = t.min(axis=0), t.max(axis=0)
-            pad = hi - lo + self.rho * np.abs(t).max(axis=0)
-            low = np.where(lo == np.inf, lo, lo - pad)
-            high = np.where(hi == -np.inf, hi, hi + pad)
+            pad = self.rho * np.abs(t)
+            low = np.where(t == np.inf, t, t - pad)
+            high = np.where(t == -np.inf, t, t + pad)
         low[np.isnan(low)] = -np.inf        # not bounded: always kept
         high[np.isnan(high)] = np.inf
         off = ks <= js[:, None]
@@ -316,15 +299,14 @@ class _Lattice:
         least upper bound, in lexicographic order, in blocks: the children
         of one tile's rows, at most BLOCK_VALUES of them.
 
-        In nominal terms a prefix is kept while prefix + term + cost-to-go
-        <= optimum + CERTIFY_SLACK + 2 delta, with the delta of the prefix's
-        completion and that of the optimal path carried in the bounds.  Any
-        candidate within CERTIFY_SLACK of the best computed value is kept:
-        its lower bound is at most its computed value, the best is at most
-        the computed value of the candidate with the least upper bound, and
-        that is at most its upper bound.  Prefixes are expanded depth first,
-        one tile's rows at a time, so only the open prefixes of one path are
-        held.
+        A prefix is kept while the lower bounds of its terms, the next
+        term's and the cost-to-go add to at most the least upper bound plus
+        CERTIFY_SLACK.  Any candidate within CERTIFY_SLACK of the best
+        computed value is kept: its lower bound is at most its computed
+        value, the best is at most the computed value of the candidate with
+        the least upper bound, and that is at most its upper bound.
+        Prefixes are expanded depth first, one tile's rows at a time, so
+        only the open prefixes of one path are held.
         """
         n = self.n
         thr = self._cost_to_go() + CERTIFY_SLACK
@@ -355,11 +337,11 @@ class _Lattice:
 
 
 def random_verify(p: VariationalProblem, samples: int, seed: int) -> OracleReport:
-    """Sample trajectories (positive increments normalized to sum B, ending
-    at B exactly) and compare the best admissible one's value with the
-    closed form (see `_best_of`).  Samples go in blocks of `_rows(n + 1)`
-    rows, drawn in row-major order from one generator, so they and the
-    report depend on the seed only."""
+    """Sample trajectories (running sums of positive increments normalized
+    to sum B, ending at B exactly) and compare the best admissible one's
+    value with the closed form (see `_best_of`).  Samples go in blocks of
+    `_rows(n + 1)` rows, drawn in row-major order from one generator, so
+    they and the report depend on the seed only."""
     _require_discrete(p)
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
@@ -372,7 +354,8 @@ def random_verify(p: VariationalProblem, samples: int, seed: int) -> OracleRepor
     rows = _rows(n + 1)
     Ws = (1.0 - rng.random((min(rows, samples - start), n))  # in (0, 1]
           for start in range(0, samples, rows))
-    best_y, _ = _best_of(p, (W[:, :-1] / W.sum(axis=1, keepdims=True) * float(p.B)
+    best_y, _ = _best_of(p, (np.cumsum(W[:, :-1] / W.sum(axis=1, keepdims=True)
+                                       * float(p.B), axis=1)
                              for W in Ws), sign)
     return _global_report(p, samples, best_y, closed, sign,
                           f"random(samples={samples}, seed={seed})")

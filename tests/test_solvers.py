@@ -27,6 +27,7 @@ from tsvar import (
     admissible,
     custom,
     evaluate_functional,
+    exhaustive_verify,
     real_interval,
     solve,
     solve_exp_derivative,
@@ -344,14 +345,31 @@ class TestBoundaryResidual:
                                Affine(0.1, 1.0))
         assert solve(p).trajectory.values[-1] == 0.3 - 2.0 ** -54
 
-    def test_power_weighted_checks_its_root(self, monkeypatch):
-        # a root finder that lands 1e-6 off G^{-1} fails the rule at b
-        off = lambda *a, **kw: invert_increasing(*a, **kw) + 1e-6
-        monkeypatch.setattr(solvers, "invert_increasing", off)
+    def test_power_weighted_roots_interior_points_only(self, monkeypatch):
+        # y(a) = 0 and y(b) = B by definition: the root finder sees the
+        # interior points only, and none of their targets reaches G(B)
+        targets = []
+
+        def spy(g, target, *a, **kw):
+            targets.append(np.array(target))
+            return invert_increasing(g, target, *a, **kw)
+
+        monkeypatch.setattr(solvers, "invert_increasing", spy)
         p = VariationalProblem("power_weighted", uniform(0, 1, 4), 2.0,
-                               Constant(1.0), alpha=2.0)
-        with pytest.raises(DomainError, match=r"misses y\(b\) = B = 2\.0 by 9\.99999\d*e-07"):
-            solve(p)
+                               Exp(), alpha=2.0)
+        y = solve(p).trajectory.values
+        assert y[0] == 0.0 and y[-1] == 2.0
+        assert len(targets) == 1 and targets[0].shape == (3,)
+        assert np.all(targets[0] < weight_antiderivative(p.phi)(2.0))
+
+    def test_power_weighted_root_stays_in_zero_to_B(self):
+        # doubling from 1 used to leave [0, B], where G falls for this phi
+        # (G(2) = 0.29 < G(1) = 0.331 < G(B) = 0.351), and failed to bracket
+        p = VariationalProblem("power_weighted", uniform(0, 1, 4), 1.16637,
+                               Affine(-0.37184, 0.51745), alpha=3.0)
+        sol = solve(p)
+        assert (sol.optimal_value, sol.extremum) == (0.04309921939379533, "min")
+        assert exhaustive_verify(p, 1.16637 / 12).certified
 
 
 class TestEvaluateFunctional:

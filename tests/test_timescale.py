@@ -30,6 +30,15 @@ class TestConstruction:
         ts = q_scale(2, 0, 2)
         assert np.array_equal(ts.points, [1, 2, 4])
 
+    @pytest.mark.parametrize("build", [
+        lambda: uniform(0, 1, 4, intervals=[(2, 3)]),
+        lambda: q_scale(2, 0, 2, quad_nodes_per_interval=9),
+    ])
+    def test_atom_constructors_take_no_scale_options(self, build):
+        # a mixed scale is built by custom, never by an atom constructor
+        with pytest.raises(TypeError):
+            build()
+
     def test_real_interval(self):
         ts = real_interval(0, 1, 64)
         assert len(ts.intervals) == 1

@@ -300,6 +300,28 @@ class TestExhaustive:
         for inc in np.diff(rep.best_candidate.values):
             assert inc > 0
 
+    def test_walked_rows_are_cut_levels(self, monkeypatch):
+        # every walked candidate sits at its cut levels k * resolution, the
+        # floats the programme bounds, not at running sums of increments;
+        # a flat functional walks all of them
+        walked = []
+        real = validation._admissibility
+
+        def spy(problem, Y):
+            walked.append(np.array(Y))
+            return real(problem, Y)
+
+        monkeypatch.setattr(validation, "_admissibility", spy)
+        p = VariationalProblem("power_weighted", uniform(0, 5, 5), 3.05,
+                               Constant(1.0), alpha=1.0 + 1e-12)
+        resolution = 0.1
+        rep = exhaustive_verify(p, resolution)
+        Y = np.concatenate(walked)
+        assert rep.optima_count == rep.candidates_evaluated == math.comb(30, 4)
+        k = np.rint(Y[:, 1:-1] / resolution)
+        assert np.array_equal(Y[:, 1:-1], k * resolution)
+        assert np.all(Y[:, 0] == 0.0) and np.all(Y[:, -1] == 3.05)
+
 
 class TestLatticeBounds:
     """The dynamic programme's term bounds hold every lattice candidate's
@@ -337,25 +359,56 @@ class TestLatticeBounds:
         cuts = np.array(list(itertools.combinations(range(1, bound + 1), 3)))
         path = np.column_stack([np.zeros(len(cuts), dtype=int), cuts,
                                 np.full(len(cuts), bound + 1)])
+        # summed as the programme sums them, last gap first: summed first
+        # gap first, as the walk sums its terms, they would need no margin
         low = high = 0.0
-        for i in range(lat.n):
+        for i in range(lat.n - 1, -1, -1):
             lo, hi = lat._terms(i, levels, levels)
-            low = low + lo[path[:, i], path[:, i + 1]]
-            high = high + hi[path[:, i], path[:, i + 1]]
+            low = lo[path[:, i], path[:, i + 1]] + low
+            high = hi[path[:, i], path[:, i + 1]] + high
         # the candidates as exhaustive_verify builds and walks them
         Y = np.zeros((len(cuts), 5), order="F")
-        np.cumsum(np.diff(cuts, axis=1, prepend=0) * resolution, axis=1,
-                  out=Y[:, 1:-1])
+        Y[:, 1:-1] = cuts * resolution
         Y[:, -1] = B
         _, rows, _, vals = solvers._admissibility(p, Y)
         assert len(rows) == len(cuts) == 165
         assert np.all(low <= sign * vals) and np.all(sign * vals <= high)
 
+    @pytest.mark.parametrize("kind,alpha", [
+        ("power_weighted", 2.0), ("exp_derivative", None),
+        ("xlogx_shifted", None),
+    ])
+    def test_one_integrand_value_per_level_pair(self, kind, alpha,
+                                                monkeypatch):
+        # the bounds come from the terms at the levels themselves, with no
+        # axis of shifted ends around them
+        shapes = []
+        real = validation.gap_integrand
+
+        def spy(p, y, d, *rest):
+            out = real(p, y, d, *rest)
+            shapes.append((np.shape(y), np.shape(d), out.shape))
+            return out
+
+        monkeypatch.setattr(validation, "gap_integrand", spy)
+        p = VariationalProblem(kind, custom(atoms=[0.0, 0.5, 1.25, 2.0, 3.0]),
+                               30.0, Affine(0.5, 1.0), alpha=alpha)
+        lat = validation._Lattice(p, 1.0, 11, 2.5)
+        for i, (js, ks) in enumerate([(np.arange(1), np.arange(1, 9)),
+                                      (np.arange(1, 9), np.arange(2, 10)),
+                                      (np.arange(3, 7), np.arange(3, 12))]):
+            low, high = lat._terms(i, js, ks)
+            assert shapes[i] == ((len(js), 1), (len(js), len(ks)),
+                                 (len(js), len(ks)))
+            assert low.shape == high.shape == (len(js), len(ks))
+        assert len(shapes) == 3
+
 
 def product_reference(p, resolution):
     """Brute force independent of the oracle: every integer tuple of first
     n - 1 increments whose lattice sum leaves a positive remainder, in
-    lexicographic order, through evaluate_functional with admissibility
+    lexicographic order, as the trajectory y_i = (k_1 + ... + k_i) *
+    resolution, y_n = B, through evaluate_functional with admissibility
     checked.  Returns the trajectories, their sign-adjusted values and the
     sign."""
     sign = 1.0 if solve(p).extremum == "min" else -1.0
@@ -363,9 +416,10 @@ def product_reference(p, resolution):
     top = math.ceil(B / resolution)
     heads = [ks for ks in itertools.product(range(1, top + 1), repeat=n - 1)
              if sum(ks) * resolution < B * (1 - 1e-9)]
-    heads = np.array(heads, dtype=float).reshape(len(heads), n - 1) * resolution
-    D = np.column_stack([heads, B - heads.sum(axis=1)])
-    Y = np.concatenate([np.zeros((len(D), 1)), np.cumsum(D, axis=1)], axis=1)
+    cuts = np.cumsum(np.array(heads, dtype=np.int64).reshape(len(heads), n - 1),
+                     axis=1)
+    Y = np.column_stack([np.zeros(len(cuts)), cuts * resolution,
+                         np.full(len(cuts), B)])
     return Y, sign * evaluate_functional(p, Y), sign
 
 
