@@ -368,12 +368,15 @@ def cmd_verify(args):
         vals = solvers.solve(problem).trajectory.values.copy()
         try:
             idx, delta = args.corrupt.split(":")
-            vals[int(idx)] += float(delta)
-        except (ValueError, IndexError):
+            idx, delta = int(idx), float(delta)
+            if not (0 <= idx < len(vals) and np.isfinite(float(vals[idx]) + delta)):
+                raise ValueError
+        except ValueError:
             raise SchemaError(
                 f"--corrupt wants INDEX:DELTA, an index of one of the "
                 f"{len(vals)} points and a number; got {args.corrupt!r}"
             ) from None
+        vals[idx] += delta
         corrupted["trajectory"] = timescale.GridFunction(problem.ts, vals)
     report = run(problem, **corrupted)
     print(json.dumps(report.to_dict(), sort_keys=True))

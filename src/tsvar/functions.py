@@ -1,9 +1,10 @@
 """Closed family of scalar functions with exact derivatives and antiderivatives.
 
 Every member evaluates pointwise on floats or numpy arrays and exposes exact
-first/second derivatives and an antiderivative, which is what the inequality
-checkers and solvers need: convexity is decided from the second derivative,
-and the chain rule across a jump reduces to an antiderivative difference.
+first/second derivatives, an antiderivative and its open domain, which is
+what the inequality checkers and solvers need: convexity is decided from the
+second derivative, and the chain rule across a jump reduces to an
+antiderivative difference.  No member has an inverse; ``roots`` inverts.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ class ScalarFunction:
     def antideriv(self, x):
         """One fixed antiderivative (additive constant is arbitrary but consistent)."""
         raise NotImplementedError
-
-    def inverse(self, y):
-        """Closed-form inverse where one exists; subclasses override."""
-        raise NotImplementedError(f"{type(self).__name__} has no closed-form inverse")
 
     def outside_domain(self, x):
         """Elementwise: x lies outside the open domain (NaN does not)."""
@@ -95,11 +92,6 @@ class Affine(ScalarFunction):
         x = np.asarray(x, dtype=float)
         return 0.5 * self.slope * x * x + self.intercept * x
 
-    def inverse(self, y):
-        if self.slope == 0.0:
-            raise DomainError("constant affine function is not invertible")
-        return (np.asarray(y, dtype=float) - self.intercept) / self.slope
-
     def __repr__(self):
         return f"Affine({self.slope}, {self.intercept})"
 
@@ -132,11 +124,6 @@ class Power(ScalarFunction):
             return np.log(x)
         return x ** (self.alpha + 1.0) / (self.alpha + 1.0)
 
-    def inverse(self, y):
-        if self.alpha == 0.0:
-            raise DomainError("x**0 is not invertible")
-        return np.asarray(y, dtype=float) ** (1.0 / self.alpha)
-
     def __repr__(self):
         return f"Power({self.alpha})"
 
@@ -148,9 +135,6 @@ class Exp(ScalarFunction):
     deriv = __call__
     deriv2 = __call__
     antideriv = __call__
-
-    def inverse(self, y):
-        return np.log(np.asarray(y, dtype=float))
 
     def __repr__(self):
         return "Exp()"
@@ -171,9 +155,6 @@ class Log(ScalarFunction):
     def antideriv(self, x):
         x = np.asarray(x, dtype=float)
         return x * np.log(x) - x
-
-    def inverse(self, y):
-        return np.exp(np.asarray(y, dtype=float))
 
     def __repr__(self):
         return "Log()"
@@ -263,12 +244,6 @@ class Transformed(ScalarFunction):
     def antideriv(self, x):
         x = np.asarray(x, dtype=float)
         return (self.out_scale / self.in_scale) * self.inner.antideriv(self._u(x)) + self.out_shift * x
-
-    def inverse(self, y):
-        if self.out_scale == 0.0:
-            raise DomainError("collapsed transform is not invertible")
-        v = (np.asarray(y, dtype=float) - self.out_shift) / self.out_scale
-        return (self.inner.inverse(v) - self.in_shift) / self.in_scale
 
     def __repr__(self):
         return (f"Transformed({self.inner!r}, in_scale={self.in_scale}, "

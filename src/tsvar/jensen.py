@@ -216,14 +216,10 @@ def quasi_arithmetic_gap(ts: TimeScale, f, phi, psi) -> InequalityReport:
 
 
 def _apply_inverse(fn, target, xmin, xmax):
-    """Invert fn at target; closed form when available, else monotone search."""
-    try:
-        return float(fn.inverse(target))
-    except (NotImplementedError, DomainError):
-        pass
+    """fn^{-1}(target) on [xmin, xmax] by the monotone search.  target is a
+    positive-weight mean of fn's values there, so a target beyond fn(xmin)
+    or fn(xmax) is rounding, and is clamped to the nearer end."""
     s = 1.0 if float(fn.deriv(0.5 * (xmin + xmax))) > 0 else -1.0
-    return invert_increasing(lambda x: s * fn(x), s * target, xmin - POINT_PAD,
-                             xmax + POINT_PAD, gprime=lambda x: s * fn.deriv(x))
-
-
-POINT_PAD = 1e-9
+    lo, hi = s * float(fn(xmin)), s * float(fn(xmax))
+    return invert_increasing(lambda x: s * fn(x), min(max(s * target, lo), hi),
+                             xmin, xmax, lambda x: s * fn.deriv(x))

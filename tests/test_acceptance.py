@@ -173,9 +173,10 @@ def test_criterion_5_solver_cross_check():
     # invert G(y) = e^y - 1 at 100 targets C (t - a) with C = 1, so the
     # trajectory should be ln(1 + t); also spot-check stored grid values
     G = weight_antiderivative(Exp())
+    # the roots lie in [0, ln 2] within [0, 1], where G rises with G' = e^y
     samples = np.linspace(0.0, 1.0, 100)
     max_err = max(
-        abs(invert_increasing(G, t) - math.log(1.0 + t))
+        abs(invert_increasing(G, t, 0.0, 1.0, Exp()) - math.log(1.0 + t))
         for t in samples)
     grid_err = float(np.max(np.abs(sol.trajectory.values
                                    - np.log(1.0 + ts.points))))

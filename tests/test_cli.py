@@ -554,12 +554,17 @@ class TestVerify:
         assert code == 3
         assert out == "" and err.startswith("error[precondition]")
 
-    @pytest.mark.parametrize("corrupt", ["abc", "1:x", "99:0.1", "1:2:3"])
+    # an index counts from 0 up to the last point, with no wrap-around from
+    # the end, and the corrupted value must stay finite; "--corrupt=" lets
+    # argparse read "-1:0.5" as a value
+    @pytest.mark.parametrize("corrupt", ["abc", "1:x", "99:0.1", "1:2:3",
+                                         "-1:0.5", "-5:0.5", "2:nan", "2:inf",
+                                         "2:-inf", "2:1e400"])
     def test_bad_corrupt_exit_2(self, tmp_path, capsys, corrupt):
         payload = json.loads(json.dumps(WORKED_PROBLEM))
         payload["oracle"] = {"mode": "perturbation", "eps": 0.5}
         f = write_json(tmp_path / "p.json", payload)
-        code, out, err = run_cli(["verify", f, "--corrupt", corrupt], capsys)
+        code, out, err = run_cli(["verify", f, f"--corrupt={corrupt}"], capsys)
         assert code == 2
         assert out == "" and err.startswith("error[parse]")
         assert repr(corrupt) in err

@@ -73,25 +73,6 @@ def test_exact_values():
     assert float(Identity()(7.3)) == 7.3
 
 
-def test_inverses_round_trip():
-    pairs = [
-        (Affine(2.0, 1.0), 0.7),
-        (Power(3.0), 2.2),
-        (Exp(), 0.4),
-        (Log(), 5.0),
-        (Transformed(Exp(), in_scale=2.0, out_scale=3.0), 1.1),
-    ]
-    for fn, x in pairs:
-        assert float(fn.inverse(fn(x))) == pytest.approx(x, abs=1e-12)
-
-
-def test_noninvertible():
-    with pytest.raises(DomainError):
-        Affine(0.0, 1.0).inverse(1.0)
-    with pytest.raises(NotImplementedError):
-        XLogX().inverse(1.0)
-
-
 @pytest.mark.parametrize("fn", ALL + [
     Transformed(Log(), in_scale=-1.0, in_shift=10.0),
     Transformed(Power(2.0), in_scale=-2.0, in_shift=-1.0)])

@@ -13,17 +13,21 @@ from tsvar import (
     Identity,
     Log,
     ParameterError,
+    Polynomial,
     Power,
     PreconditionError,
+    Transformed,
     custom,
     jensen_gap,
     q_scale,
     quasi_arithmetic_gap,
+    real_interval,
     special_case_gap,
     uniform,
     weighted_jensen_gap,
 )
 from generators import random_discrete_timescale, random_grid
+from tsvar import roots
 
 T3 = custom(atoms=[0, 1, 2])
 
@@ -235,12 +239,11 @@ class TestQuasiArithmetic:
         assert rep.holds
         assert rep.rhs == pytest.approx(1.6, abs=1e-10)  # harmonic mean of 1, 4
 
-    # phi with no closed-form inverse: the phi-mean comes from the monotone
-    # search, against the exact root
+    # phi whose inverse has no short formula: the phi-mean from the
+    # monotone search, against the exact root
     F5 = np.array([1.0, 2.0, 3.5, 0.7, 5.0])
 
     def test_search_inverse_increasing(self):
-        from tsvar import Polynomial
         ts = uniform(0, 1, 4)
         mean = np.mean(self.F5[:4] + self.F5[:4] ** 2)
         rep = quasi_arithmetic_gap(ts, self.F5, Polynomial([0.0, 1.0, 1.0]),
@@ -249,7 +252,6 @@ class TestQuasiArithmetic:
                                         abs=1e-12)
 
     def test_search_inverse_decreasing(self):
-        from tsvar import Polynomial, Transformed
         ts = uniform(0, 1, 4)
         phi = Transformed(Polynomial([0.0, 0.0, 1.0]), out_scale=-1.0)
         rep = quasi_arithmetic_gap(ts, self.F5, phi, Identity())
@@ -257,7 +259,6 @@ class TestQuasiArithmetic:
                                         abs=1e-12)
 
     def test_noninjective_phi_rejected(self):
-        from tsvar import Polynomial
         f = GridFunction(T3, [-1.0, 1.0])
         with pytest.raises(PreconditionError):
             quasi_arithmetic_gap(T3, f, Polynomial([0.0, 0.0, 1.0]), Exp())
@@ -266,6 +267,94 @@ class TestQuasiArithmetic:
         f = GridFunction(T3, [1.0, 2.0])
         with pytest.raises(PreconditionError):
             quasi_arithmetic_gap(T3, f, Identity(), Power(-1.0))
+
+
+# Each family's quasi-arithmetic mean of values v with weights w (summing to
+# 1), written out through the family's inverse in closed form.
+CLOSED_FORM_MEANS = [
+    (Log(), lambda v, w: math.exp(np.sum(w * np.log(v)))),
+    (Power(-1.0), lambda v, w: 1.0 / np.sum(w / v)),
+    (Power(2.0), lambda v, w: math.sqrt(np.sum(w * v ** 2))),
+    (Power(0.5), lambda v, w: np.sum(w * np.sqrt(v)) ** 2),
+    (Exp(), lambda v, w: math.log(np.sum(w * np.exp(v)))),
+    (Affine(2.0, 1.0), lambda v, w: (np.sum(w * (2.0 * v + 1.0)) - 1.0) / 2.0),
+    (Transformed(Exp(), in_scale=2.0, out_scale=3.0),
+     lambda v, w: math.log(np.sum(w * 3.0 * np.exp(2.0 * v)) / 3.0) / 2.0),
+    (Transformed(Log(), in_scale=-1.0, in_shift=10.0),
+     lambda v, w: 10.0 - math.exp(np.sum(w * np.log(10.0 - v)))),
+]
+
+
+class TestQuasiMeansAgainstClosedForms:
+    """Both sides of quasi_arithmetic_gap come from the bracketed search; each
+    family that has an inverse in closed form checks them against it."""
+
+    SCALES = [uniform(0, 1, 7), custom(atoms=[0.0, 0.1, 0.5, 0.6, 1.4, 2.0, 2.05])]
+
+    @staticmethod
+    def bound(fn, v, n):
+        # the search stops within roots.TOL of the target in fn's values; the
+        # written-out sum and the quadrature's differ by rounding, at most
+        # n ulps of the largest |fn(v)| each way; over the least |fn'| on the
+        # range that is an error in x, plus an ulp or two of the reference
+        xs = np.linspace(v.min(), v.max(), 257)
+        target_err = roots.TOL + 2.0 * n * np.finfo(float).eps * np.max(np.abs(fn(v)))
+        return target_err / np.min(np.abs(fn.deriv(xs))) + 4e-16 * np.max(v)
+
+    @pytest.mark.parametrize("fn,mean", CLOSED_FORM_MEANS,
+                             ids=[repr(fn) for fn, _ in CLOSED_FORM_MEANS])
+    @pytest.mark.parametrize("ts", SCALES, ids=["uniform", "custom"])
+    def test_both_sides(self, ts, fn, mean):
+        rng = np.random.default_rng(23)
+        w = np.diff(ts.points) / (ts.b - ts.a)
+        n = len(w)
+        for _ in range(20):
+            f = rng.uniform(0.5, 2.0, n + 1)
+            v = f[:n]
+            bound = self.bound(fn, v, n)
+            rep = quasi_arithmetic_gap(ts, f, fn, Identity())
+            assert rep.lhs == pytest.approx(np.sum(w * v), abs=bound)
+            assert rep.rhs == pytest.approx(mean(v, w), abs=bound)
+            if float(fn.deriv(1.0)) > 0:   # fn can be psi: phi = identity
+                rep = quasi_arithmetic_gap(ts, f, Identity(), fn)
+                assert rep.lhs == pytest.approx(mean(v, w), abs=bound)
+                assert rep.rhs == pytest.approx(np.sum(w * v), abs=bound)
+
+
+class TestQuasiConstantF:
+    """A constant f is the sharp case at any magnitude: both means are f.
+    The quadrature's mean of phi(f) may fall an ulp outside [phi(min f),
+    phi(max f)], which the search's end clamp absorbs."""
+
+    def test_repro_real_interval_8e6_polynomial_phi(self):
+        ts = real_interval(0, 2.499925877849083, 33)
+        rep = quasi_arithmetic_gap(ts, np.full(len(ts.points), 8020895.836996855),
+                                   Polynomial([0.0, 1.0]), Identity())
+        assert rep.equality and rep.f_is_constant
+        assert rep.lhs == rep.rhs == 8020895.836996855
+
+    @pytest.mark.parametrize("phi", [Polynomial([0.0, 1.0]), Identity(), Log(),
+                                     Power(-1.0)], ids=repr)
+    @pytest.mark.parametrize("ts", [
+        uniform(0, 2.5, 33),
+        real_interval(0, 2.499925877849083, 33),
+        custom(atoms=[0.0, 0.3, 2.9, 3.7], intervals=[(1.0, 2.0)],
+               quad_nodes_per_interval=17),
+    ], ids=["uniform", "real_interval", "custom"])
+    def test_equality_at_every_magnitude(self, ts, phi):
+        rng = np.random.default_rng(6)
+        for c in rng.uniform(1.0, 10.0, 64) * 10.0 ** np.repeat(np.arange(-3, 13), 4):
+            rep = quasi_arithmetic_gap(ts, np.full(len(ts.points), c), phi,
+                                       Identity())
+            assert rep.equality and rep.f_is_constant, c
+
+    @pytest.mark.parametrize("phi", [Identity(), Log()], ids=repr)
+    def test_equality_near_the_float_max(self, phi):
+        # c + c overflows, so the bracket's midpoint is taken from halves
+        c = 1.5e308
+        rep = quasi_arithmetic_gap(uniform(0, 1, 4), np.full(5, c), phi,
+                                   Identity())
+        assert rep.equality and rep.lhs == rep.rhs == c
 
 
 class TestSharpness:

@@ -38,6 +38,7 @@ from tsvar import (
 from generators import random_admissible_trajectory, random_discrete_timescale
 from reference_power_weight import power_weighted_values
 from tsvar import cli
+from tsvar import roots
 from tsvar.roots import invert_increasing
 from tsvar.solvers import weight_antiderivative
 import tsvar.solvers as solvers
@@ -257,8 +258,7 @@ class TestDegenerateAndOverflow:
             solve(p)
 
     def test_power_root_bracket_overflow(self):
-        # C = e^700 is finite, but bracketing its inverse by doubling passes
-        # exp(1024); the optimum C^2 then overflows
+        # C = e^700 is finite, but the optimum C^2 overflows
         p = VariationalProblem("power_weighted", uniform(0, 1, 2), 700.0,
                                Exp(), alpha=2.0)
         with pytest.raises(DomainError, match="optimal value"):
@@ -454,35 +454,35 @@ class TestEvaluateFunctional:
 
 class TestInvertIncreasing:
     def test_converges(self):
-        x = invert_increasing(math.exp, 3.0, 0.0, 5.0, gprime=math.exp)
+        x = invert_increasing(math.exp, 3.0, 0.0, 5.0, math.exp)
         assert abs(math.exp(x) - 3.0) <= 1e-12
 
-    def test_unconverged_raises(self):
+    def test_unconverged_raises(self, monkeypatch):
         # one step from the bracket midpoint cannot reach the tolerance
+        monkeypatch.setattr(roots, "MAX_ITER", 1)
         with pytest.raises(DomainError):
-            invert_increasing(math.exp, 3.0, 0.0, 5.0, gprime=math.exp,
-                              max_iter=1)
+            invert_increasing(math.exp, 3.0, 0.0, 5.0, math.exp)
 
     def test_float_spacing_counts_as_converged(self):
         # near 1e13 floats are ~2e-3 apart, so |g(x) - target| <= 1e-12 is
         # out of reach; a bracket a float or two wide is the answer
-        x = invert_increasing(math.exp, 1e13, 0.0, gprime=math.exp)
+        x = invert_increasing(math.exp, 1e13, 0.0, 32.0, math.exp)
         assert x == pytest.approx(13.0 * math.log(10.0), rel=1e-15)
 
-    @pytest.mark.parametrize("g,gprime", [
-        (np.exp, np.exp),
-        (np.exp, None),                      # bisection only
-        (weight_antiderivative(Affine(3.0, 0.25)), Affine(3.0, 0.25)),
-        (Polynomial([0.0, 1.0, 0.3, 0.2, 0.1]), Polynomial([1.0, 0.6, 0.6, 0.4])),
+    @pytest.mark.parametrize("g,gprime,x_hi", [
+        (np.exp, np.exp, 32.0),
+        (weight_antiderivative(Affine(3.0, 0.25)), Affine(3.0, 0.25), 2.0 ** 22),
+        (Polynomial([0.0, 1.0, 0.3, 0.2, 0.1]), Polynomial([1.0, 0.6, 0.6, 0.4]),
+         2.0 ** 12),
     ])
-    def test_array_matches_scalar_bit_for_bit(self, g, gprime):
-        # mixed magnitudes: a target just above g(0), targets whose doubling
-        # bracket needs one to nine doublings, and 1e13, where floats are
-        # too far apart for |g(x) - target| <= tol
+    def test_array_matches_scalar_bit_for_bit(self, g, gprime, x_hi):
+        # mixed magnitudes in one bracket: a target just above g(0), targets
+        # from 0.25 to 1e3 above it, and 1e13, where floats are too far
+        # apart for |g(x) - target| <= tol
         g0 = float(g(0.0))
         targets = g0 + np.array([1e-9, 0.5, 2.0, 7.0, 1e3, 1e13, 3.0, 0.25])
-        xs = invert_increasing(g, targets, 0.0, gprime=gprime)
-        one_by_one = [invert_increasing(g, t, 0.0, gprime=gprime)
+        xs = invert_increasing(g, targets, 0.0, x_hi, gprime)
+        one_by_one = [invert_increasing(g, t, 0.0, x_hi, gprime)
                       for t in targets]
         assert all(type(x) is float for x in one_by_one)
         assert xs.shape == targets.shape
@@ -490,17 +490,18 @@ class TestInvertIncreasing:
 
     def test_array_with_given_bracket(self):
         targets = np.array([[1.5, 3.0], [100.0, 1.0]])
-        xs = invert_increasing(np.exp, targets, 0.0, 5.0, gprime=np.exp)
-        one_by_one = [invert_increasing(np.exp, t, 0.0, 5.0, gprime=np.exp)
+        xs = invert_increasing(np.exp, targets, 0.0, 5.0, np.exp)
+        one_by_one = [invert_increasing(np.exp, t, 0.0, 5.0, np.exp)
                       for t in targets.ravel()]
         assert xs.tobytes() == np.array(one_by_one).tobytes()
 
-    def test_array_unconverged_names_first_element(self):
+    def test_array_unconverged_names_first_element(self, monkeypatch):
         # the bracket midpoint is the exact root of the first target only
+        monkeypatch.setattr(roots, "MAX_ITER", 1)
         targets = np.linspace(1.0, 1.9, 1000)
         with pytest.raises(DomainError, match=r"element 1\b") as exc:
             invert_increasing(lambda x: 1.0 * np.asarray(x), targets, 0.0, 2.0,
-                              max_iter=1)
+                              lambda x: np.ones_like(x))
         assert len(str(exc.value)) < 200
 
 
