@@ -1,10 +1,9 @@
 """Closed family of scalar functions with exact derivatives and antiderivatives.
 
 Every member evaluates pointwise on floats or numpy arrays and exposes exact
-first/second derivatives, an antiderivative and its open domain, which is
-what the inequality checkers and solvers need: convexity is decided from the
-second derivative, and the chain rule across a jump reduces to an
-antiderivative difference.  No member has an inverse; ``roots`` inverts.
+first/second derivatives, an antiderivative and its open domain, but no
+inverse (``roots`` inverts): convexity is decided from the second derivative,
+and the chain rule across a jump reduces to an antiderivative difference.
 """
 
 from __future__ import annotations

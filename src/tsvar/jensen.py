@@ -210,16 +210,20 @@ def quasi_arithmetic_gap(ts: TimeScale, f, phi, psi) -> InequalityReport:
     span = ts.b - ts.a
     mean_psi = _finite("mean", _kappa_integral(ts, psi(fk)) / span)
     mean_phi = _finite("mean", _kappa_integral(ts, phi(fk)) / span)
-    lhs = _apply_inverse(psi, mean_psi, fmin, fmax)
-    rhs = _apply_inverse(phi, mean_phi, fmin, fmax)
-    return InequalityReport.build(lhs, rhs, direction, fk)
+    return InequalityReport.build(_apply_inverse(psi, mean_psi, fmin, fmax),
+                                  _apply_inverse(phi, mean_phi, fmin, fmax), direction, fk)
 
 
 def _apply_inverse(fn, target, xmin, xmax):
-    """fn^{-1}(target) on [xmin, xmax] by the monotone search.  target is a
-    positive-weight mean of fn's values there, so a target beyond fn(xmin)
-    or fn(xmax) is rounding, and is clamped to the nearer end."""
-    s = 1.0 if float(fn.deriv(0.5 * (xmin + xmax))) > 0 else -1.0
+    """fn^{-1}(target) on [xmin, xmax] by the monotone search.  A target past
+    fn's ends is rounding of a positive-weight mean, and is clamped.  fn, and x
+    below 1, are scaled by 2**k and 2**-j, exactly: the search's stops are absolute."""
+    s = 1.0 if float(fn.deriv(0.5 * xmin + 0.5 * xmax)) > 0 else -1.0
     lo, hi = s * float(fn(xmin)), s * float(fn(xmax))
-    return invert_increasing(lambda x: s * fn(x), min(max(s * target, lo), hi),
-                             xmin, xmax, lambda x: s * fn.deriv(x))
+    k = 13 - math.frexp(max(abs(lo), abs(hi)))[1]
+    j = min(0, math.frexp(max(abs(xmin), abs(xmax)))[1])
+    u = invert_increasing(lambda u: np.ldexp(s * fn(np.ldexp(u, j)), k),
+                          np.ldexp(min(max(s * target, lo), hi), k),
+                          math.ldexp(xmin, -j), math.ldexp(xmax, -j),
+                          lambda u: np.ldexp(s * fn.deriv(np.ldexp(u, j)), k + j))
+    return math.ldexp(u, j)

@@ -20,13 +20,12 @@ def invert_increasing(g, target, x_lo, x_hi, gprime):
     """Solve g(x) = target for strictly increasing g on [x_lo, x_hi], elementwise.
 
     ``target`` is a float, giving a float, or an array, giving an array of
-    the same shape from one vectorised pass; g and gprime are then called on
-    whole arrays.  Newton steps on gprime are kept inside the bracket, else
-    the bracket is bisected.  Each element stops, and keeps its x, at
-    |g(x) - target| <= TOL or at a bracket one ulp wide.  DomainError is
-    raised when a target lies beyond g(x_lo) or g(x_hi) by more than TOL, or
-    when some element does neither within MAX_ITER steps.
-    """
+    its shape from one vectorised pass (g and gprime then take whole arrays).
+    Newton steps on gprime are kept inside the bracket, else it is bisected.
+    Each element stops, keeping its x, at |g(x) - target| <= TOL or at a
+    bracket 2 eps * max(1, |hi|) wide, an ulp or two at |x| >= 1.  DomainError
+    is raised for a target beyond g(x_lo) or g(x_hi) by more than TOL, or for
+    an element that stops at neither within MAX_ITER steps."""
     t = np.asarray(target, dtype=float)
     if np.any(g(x_lo) > t + TOL):
         raise DomainError("target below g(x_lo); bracket does not contain root")
@@ -54,7 +53,6 @@ def invert_increasing(g, target, x_lo, x_hi, gprime):
         live &= ~(hi - lo <= 2.0 * sys.float_info.epsilon * np.maximum(1.0, np.abs(hi)))
     if live.any():
         i = int(np.flatnonzero(live)[0])
-        raise DomainError(f"no root to tolerance {TOL} within {MAX_ITER} "
-                          f"iterations (element {i}: target {t.flat[i]}, "
-                          f"last x = {x.flat[i]})")
+        raise DomainError(f"no root to tolerance {TOL} within {MAX_ITER} iterations "
+                          f"(element {i}: target {t.flat[i]}, last x = {x.flat[i]})")
     return float(x) if t.ndim == 0 else x

@@ -270,18 +270,25 @@ class TestQuasiArithmetic:
 
 
 # Each family's quasi-arithmetic mean of values v with weights w (summing to
-# 1), written out through the family's inverse in closed form.
+# 1), written out through the family's inverse in closed form, and the ranges
+# of f it is checked on: magnitudes from 1e-20 to 2e13, negative where the
+# family's domain allows, and phi(f) far below 1e-12 (Exp on [-40, -30]).
+POSITIVE = [(1e-20, 2e-19), (1e-3, 2e-3), (0.5, 2.0), (1e6, 2e6), (1e12, 2e13)]
 CLOSED_FORM_MEANS = [
-    (Log(), lambda v, w: math.exp(np.sum(w * np.log(v)))),
-    (Power(-1.0), lambda v, w: 1.0 / np.sum(w / v)),
-    (Power(2.0), lambda v, w: math.sqrt(np.sum(w * v ** 2))),
-    (Power(0.5), lambda v, w: np.sum(w * np.sqrt(v)) ** 2),
-    (Exp(), lambda v, w: math.log(np.sum(w * np.exp(v)))),
-    (Affine(2.0, 1.0), lambda v, w: (np.sum(w * (2.0 * v + 1.0)) - 1.0) / 2.0),
+    (Log(), lambda v, w: math.exp(np.sum(w * np.log(v))), POSITIVE),
+    (Power(-1.0), lambda v, w: 1.0 / np.sum(w / v), POSITIVE),
+    (Power(2.0), lambda v, w: math.sqrt(np.sum(w * v ** 2)), POSITIVE),
+    (Power(0.5), lambda v, w: np.sum(w * np.sqrt(v)) ** 2, POSITIVE),
+    (Exp(), lambda v, w: math.log(np.sum(w * np.exp(v))),
+     [(-40.0, -30.0), (-5.0, 5.0), (1e-3, 2e-3), (600.0, 700.0)]),
+    (Affine(2.0, 1.0), lambda v, w: (np.sum(w * (2.0 * v + 1.0)) - 1.0) / 2.0,
+     [(-2e13, -1e12), (-5.0, 5.0), *POSITIVE]),
     (Transformed(Exp(), in_scale=2.0, out_scale=3.0),
-     lambda v, w: math.log(np.sum(w * 3.0 * np.exp(2.0 * v)) / 3.0) / 2.0),
+     lambda v, w: math.log(np.sum(w * 3.0 * np.exp(2.0 * v)) / 3.0) / 2.0,
+     [(-20.0, -15.0), (-2.5, 2.5), (300.0, 350.0)]),
     (Transformed(Log(), in_scale=-1.0, in_shift=10.0),
-     lambda v, w: 10.0 - math.exp(np.sum(w * np.log(10.0 - v)))),
+     lambda v, w: 10.0 - math.exp(np.sum(w * np.log(10.0 - v))),
+     [(-2e13, -1e12), (-2e6, -1e6), (0.5, 2.0), (9.998, 9.999)]),
 ]
 
 
@@ -292,33 +299,46 @@ class TestQuasiMeansAgainstClosedForms:
     SCALES = [uniform(0, 1, 7), custom(atoms=[0.0, 0.1, 0.5, 0.6, 1.4, 2.0, 2.05])]
 
     @staticmethod
-    def bound(fn, v, n):
-        # the search stops within roots.TOL of the target in fn's values; the
-        # written-out sum and the quadrature's differ by rounding, at most
-        # n ulps of the largest |fn(v)| each way; over the least |fn'| on the
-        # range that is an error in x, plus an ulp or two of the reference
-        xs = np.linspace(v.min(), v.max(), 257)
-        target_err = roots.TOL + 2.0 * n * np.finfo(float).eps * np.max(np.abs(fn(v)))
-        return target_err / np.min(np.abs(fn.deriv(xs))) + 4e-16 * np.max(v)
+    def assert_mean(got, ref, fn, v, n):
+        # the quadrature's mean of fn(v) and the written-out one each round
+        # to within n ulps of the largest |fn(v)|; over |fn'| at the mean that
+        # is an error in x, to which the inverses add a few ulps of the mean
+        target_err = 2.0 * n * np.finfo(float).eps * np.max(np.abs(fn(v)))
+        bound = target_err / abs(float(fn.deriv(ref))) + 4.0 * np.spacing(abs(ref))
+        assert abs(got - ref) <= bound, (got, ref, bound)
 
-    @pytest.mark.parametrize("fn,mean", CLOSED_FORM_MEANS,
-                             ids=[repr(fn) for fn, _ in CLOSED_FORM_MEANS])
+    @pytest.mark.parametrize("fn,mean,ranges", CLOSED_FORM_MEANS,
+                             ids=[repr(fn) for fn, _, _ in CLOSED_FORM_MEANS])
     @pytest.mark.parametrize("ts", SCALES, ids=["uniform", "custom"])
-    def test_both_sides(self, ts, fn, mean):
+    def test_both_sides(self, ts, fn, mean, ranges):
         rng = np.random.default_rng(23)
         w = np.diff(ts.points) / (ts.b - ts.a)
         n = len(w)
-        for _ in range(20):
-            f = rng.uniform(0.5, 2.0, n + 1)
-            v = f[:n]
-            bound = self.bound(fn, v, n)
-            rep = quasi_arithmetic_gap(ts, f, fn, Identity())
-            assert rep.lhs == pytest.approx(np.sum(w * v), abs=bound)
-            assert rep.rhs == pytest.approx(mean(v, w), abs=bound)
-            if float(fn.deriv(1.0)) > 0:   # fn can be psi: phi = identity
-                rep = quasi_arithmetic_gap(ts, f, Identity(), fn)
-                assert rep.lhs == pytest.approx(mean(v, w), abs=bound)
-                assert rep.rhs == pytest.approx(np.sum(w * v), abs=bound)
+        for lo, hi in ranges:
+            for _ in range(10):
+                f = rng.uniform(lo, hi, n + 1)
+                v = f[:n]
+                rep = quasi_arithmetic_gap(ts, f, fn, Identity())
+                self.assert_mean(rep.lhs, np.sum(w * v), Identity(), v, n)
+                self.assert_mean(rep.rhs, mean(v, w), fn, v, n)
+                if float(fn.deriv(lo)) > 0:   # fn can be psi: phi = identity
+                    rep = quasi_arithmetic_gap(ts, f, Identity(), fn)
+                    self.assert_mean(rep.lhs, mean(v, w), fn, v, n)
+                    self.assert_mean(rep.rhs, np.sum(w * v), Identity(), v, n)
+
+    @pytest.mark.parametrize("i,lo,hi", [(1, 1e13, 2e13), (4, -40.0, -30.0),
+                                         (0, 1e6, 1e6 + 10.0)])
+    def test_gap_of_a_spread_f(self, i, lo, hi):
+        # phi(f) below 1e-12, or phi' below 1e-5: a search that stops within
+        # 1e-12 of the target in phi's values takes the first midpoints here
+        phi, mean, _ = CLOSED_FORM_MEANS[i]
+        ts = self.SCALES[0]
+        w = np.diff(ts.points) / (ts.b - ts.a)
+        f = np.random.default_rng(5).uniform(lo, hi, len(w) + 1)
+        rep = quasi_arithmetic_gap(ts, f, phi, Identity())
+        assert rep.holds and not rep.equality and not rep.f_is_constant
+        gap = abs(np.sum(w * f[:-1]) - mean(f[:-1], w))
+        assert rep.gap == pytest.approx(gap, rel=1e-2)
 
 
 class TestQuasiConstantF:
