@@ -250,39 +250,47 @@ class Transformed(ScalarFunction):
                 f"out_shift={self.out_shift})")
 
 
-#: sample count for sign-checking the second derivative on a range
+#: sample count for sign-checking a second derivative on a range
 CONVEXITY_SAMPLES = 257
 
-#: |F''| below this counts as zero (affine behaviour)
-_AFFINE_TOL = 1e-12
+
+def convexity_samples(lo, hi):
+    """The points of [lo, hi] at which convexity is decided."""
+    return np.linspace(lo, hi, CONVEXITY_SAMPLES) if hi > lo else np.array([lo])
+
+
+def classify_samples(d2, err, lo, hi):
+    """The sign rule: (kind, strict) from samples d2 of a second derivative on
+    [lo, hi], each within err of its exact value, so a sample counts as zero
+    only when |d2| <= err.  kind is "convex", "concave" or "affine" (every
+    sample zero); strict is True when no sample is zero.  A non-finite sample
+    or a sign change raises ClassificationError.
+    """
+    if not np.all(np.isfinite(d2)):
+        raise ClassificationError("second derivative not finite on range")
+    pos, neg = d2 > err, d2 < -err
+    if pos.any() and neg.any():
+        raise ClassificationError(f"second derivative changes sign on [{lo}, {hi}]")
+    if pos.any():
+        return "convex", bool(pos.all())
+    if neg.any():
+        return "concave", bool(neg.all())
+    return "affine", False
 
 
 def classify_convexity(F, lo, hi):
     """Decide convexity of F on [lo, hi] from the sign of its second derivative.
 
     Returns (kind, strict) with kind in {"convex", "concave", "affine"};
-    strict is True when the second derivative is bounded away from zero at
-    every sample.  A sign change raises ClassificationError.
+    strict is True when the second derivative is nonzero at every sample.
+    A sign change raises ClassificationError.  F'' is a closed form, whose
+    rounding is relative to its own value, so only a sample of exactly 0
+    counts as zero: -1/x**2 at x = 1e7 is concave, not affine.
     """
     if lo > hi:
         raise DomainError("empty classification range")
-    if lo == hi:
-        xs = np.array([lo])
-    else:
-        xs = np.linspace(lo, hi, CONVEXITY_SAMPLES)
+    xs = convexity_samples(lo, hi)
     F.check_domain(xs)
-    with np.errstate(all="ignore"):    # an overflow is rejected just below
+    with np.errstate(all="ignore"):    # an overflow is rejected by the sign rule
         d2 = np.asarray(F.deriv2(xs), dtype=float)
-    if not np.all(np.isfinite(d2)):
-        raise ClassificationError("second derivative not finite on range")
-    pos = d2 > _AFFINE_TOL
-    neg = d2 < -_AFFINE_TOL
-    if pos.any() and neg.any():
-        raise ClassificationError(
-            f"second derivative changes sign on [{lo}, {hi}]"
-        )
-    if pos.any():
-        return "convex", bool(pos.all())
-    if neg.any():
-        return "concave", bool(neg.all())
-    return "affine", False
+    return classify_samples(d2, 0.0, lo, hi)

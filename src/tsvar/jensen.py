@@ -1,8 +1,9 @@
 """Jensen-type inequality gap checkers on time scales.
 
-Each checker computes both sides of an inequality, orients the gap so that
-``gap >= 0`` means the inequality holds, and flags the sharp equality case
-(which, for strictly convex/concave F and nowhere-zero weights, occurs
+The corollaries are rows of weighted Jensen, and every direction comes from
+one sign rule, functions.classify_samples.  Each checker orients the gap so
+that ``gap >= 0`` means the inequality holds, and flags the sharp equality
+case (which, for strictly convex/concave F and nowhere-zero weights, occurs
 exactly when the integrand is constant).
 """
 
@@ -15,18 +16,39 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, PreconditionError
-from .functions import classify_convexity
+from .functions import (Exp, Log, Power, XLogX, classify_convexity,
+                        classify_samples, convexity_samples)
 from .roots import invert_increasing
 from .timescale import GridFunction, TimeScale, pad_kappa
 
 #: absolute tolerance separating genuine equality from quadrature noise
 EQUALITY_TOL = 1e-10
 
+#: a side's rounding relative to its magnitude, 2**7 ulps: a quadrature sum,
+#: or a quasi mean, whose phi-mean's rounding phi^{-1} multiplies (about 50
+#: ulps for log at 1e13); it sets the tolerance from |side| ~ 3500 up
+SIDE_ROUNDING = 2.0 ** -45
+
 #: tolerance on max(f) - min(f) for declaring f constant
 CONSTANCY_TOL = 1e-8
 
+#: the kind of F (functions.classify_samples) -> the report's direction, and
+#: whether the gap is rhs - lhs
+_DIRECTIONS = {"convex": ("convex_ge", False), "affine": ("convex_ge", False),
+               "concave": ("concave_le", True)}
+
+#: each corollary as a row of weighted Jensen: F from alpha, the alphas it
+#: excludes (None: it takes no alpha), and whether its weight is 1/f, not 1
+_COROLLARIES = {
+    "power": (Power, (0.0, 1.0), False),
+    "reciprocal_power": (lambda alpha: Power(alpha + 1.0), (-1.0, 0.0), True),
+    "exp": (lambda alpha: Exp(), None, False),
+    "log": (lambda alpha: Log(), None, False),
+    "xlogx": (lambda alpha: XLogX(), None, False),
+}
+
 #: the kinds of special_case_gap's corollary inequalities
-SPECIAL_KINDS = ("power", "reciprocal_power", "exp", "log", "xlogx")
+SPECIAL_KINDS = tuple(_COROLLARIES)
 
 
 @dataclass(frozen=True)
@@ -42,20 +64,18 @@ class InequalityReport:
     f_is_constant: bool
 
     @classmethod
-    def build(cls, lhs, rhs, direction, f_values):
+    def build(cls, lhs, rhs, kind, f_values):
+        """The report for F of the given kind (functions.classify_samples).
+        A gap within the larger of EQUALITY_TOL and SIDE_ROUNDING times the
+        larger side is rounding."""
         lhs = _finite("lhs", lhs)
         rhs = _finite("rhs", rhs)
-        gap = _finite("gap", lhs - rhs if direction == "convex_ge" else rhs - lhs)
+        direction, flip = _DIRECTIONS[kind]
+        gap = _finite("gap", rhs - lhs if flip else lhs - rhs)
+        tol = max(EQUALITY_TOL, SIDE_ROUNDING * max(abs(lhs), abs(rhs)))
         spread = float(np.max(f_values) - np.min(f_values))
-        return cls(
-            lhs=lhs,
-            rhs=rhs,
-            gap=gap,
-            direction=direction,
-            holds=gap >= -EQUALITY_TOL,
-            equality=abs(gap) <= EQUALITY_TOL,
-            f_is_constant=spread <= CONSTANCY_TOL,
-        )
+        return cls(lhs, rhs, gap, direction, holds=gap >= -tol,
+                   equality=abs(gap) <= tol, f_is_constant=spread <= CONSTANCY_TOL)
 
     def to_dict(self):
         return asdict(self)
@@ -89,8 +109,20 @@ def _as_grid(ts, f):
     return f if isinstance(f, GridFunction) else GridFunction(ts, f)
 
 
-def _direction(kind):
-    return "convex_ge" if kind in ("convex", "affine") else "concave_le"
+def _weighted_sides(ts, f, g, F):
+    """W, the integral of the weight g >= 0; the integral of g F(f); F at the
+    g-weighted mean of f, each checked finite before F is classified, so an
+    overflow is named; the kind of F on the range of f; f on [a, b]^kappa."""
+    fk = f[:len(ts.kappa_points())]
+    fmin, fmax = float(np.min(fk)), float(np.max(fk))
+    F.check_domain(np.array([fmin, fmax]))
+    w = ts.delta_integral(g)
+    if w <= 0.0:
+        raise PreconditionError("total weight integral of |h| must be positive")
+    mean = _finite("mean", ts.delta_integral(g * f) / w)
+    lhs = _finite("lhs", _kappa_integral(ts, g[:len(fk)] * F(fk)))
+    rhs = _finite("rhs", F(mean))
+    return w, lhs, rhs, classify_convexity(F, fmin, fmax)[0], fk
 
 
 @_overflow_checked
@@ -101,21 +133,9 @@ def weighted_jensen_gap(ts: TimeScale, f, h, F) -> InequalityReport:
     of f.  Requires the total weight to be positive and F to have a definite
     convexity regime on the range of f.
     """
-    f = _as_grid(ts, f)
-    h = _as_grid(ts, h)
-    habs = GridFunction(ts, np.abs(h.values))
-    w = ts.delta_integral(habs)
-    if w <= 0.0:
-        raise PreconditionError("total weight integral of |h| must be positive")
-    kappa = slice(len(ts.kappa_points()))
-    fk = f.values[kappa]
-    fmin, fmax = float(np.min(fk)), float(np.max(fk))
-    F.check_domain(np.array([fmin, fmax]))
-    kind, _ = classify_convexity(F, fmin, fmax)
-    mean_f = _finite("mean", ts.delta_integral(habs.values * f.values) / w)
-    lhs = _kappa_integral(ts, habs.values[kappa] * F(fk)) / w
-    rhs = float(F(mean_f))
-    return InequalityReport.build(lhs, rhs, _direction(kind), fk)
+    f, h = _as_grid(ts, f), _as_grid(ts, h)
+    w, lhs, rhs, kind, fk = _weighted_sides(ts, f.values, np.abs(h.values), F)
+    return InequalityReport.build(lhs / w, rhs, kind, fk)
 
 
 def jensen_gap(ts: TimeScale, f, F) -> InequalityReport:
@@ -126,54 +146,25 @@ def jensen_gap(ts: TimeScale, f, F) -> InequalityReport:
 
 @_overflow_checked
 def special_case_gap(kind: str, ts: TimeScale, f, alpha=None) -> InequalityReport:
-    """Gap of one of the specialized corollary inequalities.
+    """Gap of one of the corollary inequalities, a row of weighted Jensen.
 
     kind is one of SPECIAL_KINDS; power variants take the exponent alpha.
-    lhs/rhs are the corollaries' two sides as stated (no normalization by b - a).
+    lhs/rhs are the corollaries' two sides as stated: the integral of
+    g F(f) and W F(mean), W the integral of the weight g (no normalization),
+    times W**alpha for reciprocal_power.
     """
-    if kind not in SPECIAL_KINDS:
+    if kind not in _COROLLARIES:
         raise ParameterError(f"unknown special inequality kind {kind!r}")
-    f = _as_grid(ts, f)
-    span = ts.b - ts.a
-    vals = f.values[:len(ts.kappa_points())]
-    if kind != "exp" and np.any(vals <= 0.0):
-        raise DomainError(f"{kind} inequality requires positive f")
-    # numpy scalars, so a power that overflows gives inf instead of raising
-    span, total = np.float64(span), np.float64(ts.delta_integral(f))
-    if kind != "reciprocal_power":
-        _finite("mean", total / span)
-
-    if kind == "power":
-        if alpha is None or alpha in (0.0, 1.0):
-            raise ParameterError("power inequality needs alpha outside {0, 1}")
-        direction = "convex_ge" if (alpha < 0.0 or alpha > 1.0) else "concave_le"
-        lhs = _kappa_integral(ts, vals ** alpha)
-        rhs = span ** (1.0 - alpha) * total ** alpha
-    elif kind == "reciprocal_power":
-        if alpha is None or alpha in (-1.0, 0.0):
-            raise ParameterError(
-                "reciprocal power inequality needs alpha outside {-1, 0}"
-            )
-        direction = "convex_ge" if (alpha < -1.0 or alpha > 0.0) else "concave_le"
-        recip = np.float64(_kappa_integral(ts, 1.0 / vals))
-        lhs = recip ** alpha * _kappa_integral(ts, vals ** alpha)
-        rhs = span ** (1.0 + alpha)
-    elif kind == "exp":
-        direction = "convex_ge"
-        lhs = _kappa_integral(ts, np.exp(vals))
-        try:
-            rhs = span * math.exp(total / span)
-        except OverflowError:
-            rhs = math.inf
-    elif kind == "log":
-        direction = "concave_le"
-        lhs = _kappa_integral(ts, np.log(vals))
-        rhs = span * math.log(total / span)
-    else:
-        direction = "convex_ge"
-        lhs = _kappa_integral(ts, vals * np.log(vals))
-        rhs = total * math.log(total / span)
-    return InequalityReport.build(lhs, rhs, direction, vals)
+    make_F, excluded, reciprocal = _COROLLARIES[kind]
+    if excluded is not None and (alpha is None or alpha in excluded):
+        raise ParameterError(f"{kind.replace('_', ' ')} inequality needs alpha "
+                             f"outside {{{excluded[0]:g}, {excluded[1]:g}}}")
+    f = _as_grid(ts, f).values
+    g = 1.0 / f if reciprocal else np.ones_like(f)
+    w, lhs, rhs, convexity, fk = _weighted_sides(ts, f, g, make_F(alpha))
+    # a numpy scalar, so a power that overflows gives inf instead of raising
+    scale = np.float64(w) ** alpha if reciprocal else 1.0
+    return InequalityReport.build(scale * lhs, scale * (w * rhs), convexity, fk)
 
 
 @_overflow_checked
@@ -187,7 +178,7 @@ def quasi_arithmetic_gap(ts: TimeScale, f, phi, psi) -> InequalityReport:
     f = _as_grid(ts, f)
     fk = f.values[:len(ts.kappa_points())]
     fmin, fmax = float(np.min(fk)), float(np.max(fk))
-    xs = np.linspace(fmin, fmax, 257) if fmax > fmin else np.array([fmin])
+    xs = convexity_samples(fmin, fmax)
     phi.check_domain(xs)
     psi.check_domain(xs)
     dphi = np.asarray(phi.deriv(xs), dtype=float)
@@ -196,22 +187,18 @@ def quasi_arithmetic_gap(ts: TimeScale, f, phi, psi) -> InequalityReport:
     dpsi = np.asarray(psi.deriv(xs), dtype=float)
     if np.any(dpsi <= 0.0):
         raise PreconditionError("psi must be strictly increasing on the range of f")
-
-    # second derivative of psi o phi^{-1} at u = phi(x), by the chain rule
-    d2 = (np.asarray(psi.deriv2(xs), dtype=float) * dphi
-          - dpsi * np.asarray(phi.deriv2(xs), dtype=float)) / dphi ** 3
-    pos, neg = np.any(d2 > 1e-12), np.any(d2 < -1e-12)
-    if pos and neg:
-        raise PreconditionError(
-            "psi o phi^{-1} has no definite convexity on Im(phi)"
-        )
-    direction = "convex_ge" if not neg else "concave_le"
-
     span = ts.b - ts.a
     mean_psi = _finite("mean", _kappa_integral(ts, psi(fk)) / span)
     mean_phi = _finite("mean", _kappa_integral(ts, phi(fk)) / span)
+    # (psi o phi^{-1})'' at phi(x) is (psi'' phi' - psi' phi'') / phi'^3, of
+    # the sign of the difference times sign phi' (the cube underflows near
+    # the float max); the difference rounds within a few u of |a| + |b|
+    a = np.asarray(psi.deriv2(xs), dtype=float) * dphi
+    b = dpsi * np.asarray(phi.deriv2(xs), dtype=float)
+    kind, _ = classify_samples(np.sign(dphi) * (a - b),
+                               4.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b)), fmin, fmax)
     return InequalityReport.build(_apply_inverse(psi, mean_psi, fmin, fmax),
-                                  _apply_inverse(phi, mean_phi, fmin, fmax), direction, fk)
+                                  _apply_inverse(phi, mean_phi, fmin, fmax), kind, fk)
 
 
 def _apply_inverse(fn, target, xmin, xmax):

@@ -24,7 +24,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .functions import ScalarFunction
+from .functions import CONVEXITY_SAMPLES, ScalarFunction
 from .roots import invert_increasing
 from .timescale import (JUMP_TOL, GridFunction, TimeScale, _grid_values,
                         chain_delta)
@@ -155,7 +155,7 @@ def solve_power_weighted(p: VariationalProblem) -> Solution:
         raise PreconditionError("power_weighted problem requires B > 0")
     # an overflow here shows as a non-finite C, rejected below
     with np.errstate(all="ignore"):
-        xs = np.linspace(0.0, B, 257)
+        xs = np.linspace(0.0, B, CONVEXITY_SAMPLES)
         probe = np.asarray(phi(xs), dtype=float)
         C = float(G(B)) / span
         if np.any(probe <= 0.0):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -469,6 +470,27 @@ class TestCheck:
         code, out, err = run_cli(["check", f], capsys)
         assert code == 3
         assert out == "" and "lhs is not finite" in err
+
+    @pytest.mark.parametrize("F,lo,hi,corollary", [
+        ({"family": "log"}, 1e7, 2e7, {"kind": "log"}),
+        ({"family": "power", "alpha": 0.5}, 1e8, 2e8, {"kind": "power", "alpha": 0.5}),
+    ], ids=["log-1e7", "sqrt-1e8"])
+    def test_jensen_at_magnitude_agrees_with_its_corollary(self, tmp_path, capsys,
+                                                           F, lo, hi, corollary):
+        # F'' is about -5e-15 here: concave, not affine
+        f = [float(v) for v in np.random.default_rng(1).uniform(lo, hi, 11)]
+        reports = []
+        for check in ({"kind": "jensen", "F": F}, corollary):
+            payload = {"schema_version": "1",
+                       "timescale": {"kind": "uniform", "a": 0, "b": 1, "n": 10},
+                       "check": dict(check, f=f)}
+            code, out, _ = run_cli(["check", write_json(tmp_path / "c.json", payload)],
+                                   capsys)
+            assert code == 0
+            reports.append(strict_json(out))
+        jensen, special = reports
+        assert jensen["direction"] == special["direction"] == "concave_le"
+        assert jensen["holds"] is special["holds"] is True
 
     def test_missing_F_exit_2(self, tmp_path, capsys):
         payload = {

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tsvar import (
     Affine,
@@ -11,12 +12,15 @@ from tsvar import (
     Exp,
     GridFunction,
     Identity,
+    InequalityReport,
     Log,
     ParameterError,
     Polynomial,
     Power,
     PreconditionError,
     Transformed,
+    XLogX,
+    classify_convexity,
     custom,
     jensen_gap,
     q_scale,
@@ -27,7 +31,7 @@ from tsvar import (
     weighted_jensen_gap,
 )
 from generators import random_discrete_timescale, random_grid
-from tsvar import roots
+from tsvar import jensen, roots
 
 T3 = custom(atoms=[0, 1, 2])
 
@@ -437,3 +441,106 @@ class TestOverflow:
     def test_large_finite_values_still_checked(self):
         rep = special_case_gap("exp", T3, [709.0, 709.0])
         assert math.isfinite(rep.lhs) and rep.equality
+
+
+# Each corollary written out as weighted Jensen: F from alpha, and whether
+# the weight is 1/f (else 1); the exponents are those of the corollaries'
+# regimes on either side of their excluded values.
+COROLLARY_ROWS = {
+    "power": (Power, False),
+    "reciprocal_power": (lambda alpha: Power(alpha + 1.0), True),
+    "exp": (lambda alpha: Exp(), False),
+    "log": (lambda alpha: Log(), False),
+    "xlogx": (lambda alpha: XLogX(), False),
+}
+ROW_CASES = ([("power", a) for a in (-2.0, -0.5, 0.5, 2.0, 3.0)]
+             + [("reciprocal_power", a) for a in (-2.0, -0.5, 0.5, 2.0)]
+             + [("exp", None), ("log", None), ("xlogx", None)])
+ROW_SCALES = [uniform(0, 1, 10), real_interval(0.1, 1.6, 21), q_scale(1.1, 0, 12),
+              custom(atoms=[0.0, 0.3, 0.5], intervals=[(0.7, 1.5)],
+                     quad_nodes_per_interval=11)]
+
+
+class TestCorollaryRows:
+    """special_case_gap is weighted Jensen with its row's F and weight: the
+    two decide the same direction, and the same verdict, at every magnitude
+    of f.  A classifier that reads a tiny F'' as zero calls log on
+    [1e7, 2e7] affine, hence convex, while the corollary is concave."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=st.sampled_from(ROW_CASES), exponent=st.floats(-20.0, 13.0),
+           spread=st.sampled_from([0.0, 1e-12, 1e-6, 1.0]),
+           ts=st.sampled_from(ROW_SCALES), seed=st.integers(0, 2 ** 32 - 1))
+    @example(case=("log", None), exponent=7.0, spread=1.0, ts=ROW_SCALES[0], seed=1)
+    @example(case=("power", 0.5), exponent=8.0, spread=1.0, ts=ROW_SCALES[0], seed=1)
+    @example(case=("reciprocal_power", -0.5), exponent=9.0, spread=1.0,
+             ts=ROW_SCALES[1], seed=2)
+    def test_same_direction_and_verdict(self, case, exponent, spread, ts, seed):
+        kind, alpha = case
+        make_F, reciprocal = COROLLARY_ROWS[kind]
+        # e**f stays finite: exp's f is drawn over the same exponents, to 40
+        c = min(10.0 ** exponent, 40.0) if kind == "exp" else 10.0 ** exponent
+        f = c * (1.0 + spread * np.random.default_rng(seed).uniform(0, 1, len(ts.points)))
+        special = special_case_gap(kind, ts, f, alpha=alpha)
+        h = 1.0 / f if reciprocal else np.ones_like(f)
+        plain = weighted_jensen_gap(ts, f, h, make_F(alpha))
+        assert (special.direction, special.holds) == (plain.direction, plain.holds)
+        assert special.holds
+
+
+class TestDirectionAtMagnitude:
+    """F'' is tiny at large magnitudes but has its sign: the direction
+    follows it, for F and for psi o phi^{-1}."""
+
+    @pytest.mark.parametrize("F,lo,hi", [(Power(0.5), 1e8, 2e8), (Log(), 1e7, 2e7)],
+                             ids=repr)
+    def test_classifier(self, F, lo, hi):
+        assert classify_convexity(F, lo, hi) == ("concave", True)
+
+    @pytest.mark.parametrize("F,lo,hi", [(Power(0.5), 1e8, 2e8), (Log(), 1e7, 2e7)],
+                             ids=repr)
+    def test_jensen_matches_its_corollary(self, F, lo, hi):
+        ts = uniform(0, 1, 10)
+        f = np.random.default_rng(1).uniform(lo, hi, 11)
+        rep = jensen_gap(ts, f, F)
+        kind = "log" if isinstance(F, Log) else "power"
+        special = special_case_gap(kind, ts, f, alpha=0.5)
+        assert rep.direction == special.direction == "concave_le"
+        assert rep.holds and special.holds
+
+    @pytest.mark.parametrize("phi,lo,hi", [(Power(2.0), 1e12, 2e13), (Exp(), 600.0, 700.0)],
+                             ids=repr)
+    def test_quasi_concave(self, phi, lo, hi):
+        # psi o phi^{-1} is sqrt(u) or ln(u): its second derivative, about
+        # -1e-37 or below the smallest float, is concave all the same
+        ts = uniform(0, 1, 7)
+        rng = np.random.default_rng(54)
+        for _ in range(20):
+            rep = quasi_arithmetic_gap(ts, rng.uniform(lo, hi, 8), phi, Identity())
+            assert rep.direction == "concave_le" and rep.holds and not rep.equality
+
+
+class TestEqualityTolerance:
+    """A gap within the sides' rounding is equality at any magnitude: an
+    absolute 1e-10 is below an ulp of f from about 1e6."""
+
+    @pytest.mark.parametrize("phi,c", [(Log(), 1e5), (Power(-1.0), 1e6), (Log(), 1e6)],
+                             ids=["log-1e5", "inverse-1e6", "log-1e6"])
+    def test_near_constant_f_holds(self, phi, c):
+        ts = uniform(0, 1, 6)
+        rng = np.random.default_rng(53)
+        for _ in range(1000):
+            f = c + rng.uniform(0, 1e-9, len(ts.points))
+            rep = quasi_arithmetic_gap(ts, f, phi, Identity())
+            assert rep.f_is_constant and rep.holds and rep.equality, rep
+
+    @pytest.mark.parametrize("side", [1.0, 3e3, 1e7, 1e300])
+    def test_tolerance_is_the_larger_bound(self, side):
+        # EQUALITY_TOL up to |side| ~ 3500, as it always was; a side's
+        # rounding, SIDE_ROUNDING of it, beyond
+        tol = max(jensen.EQUALITY_TOL, jensen.SIDE_ROUNDING * side)
+        for gap, within in ((0.5 * tol, True), (2.0 * tol, False)):
+            over = InequalityReport.build(side + gap, side, "convex", [1.0, 2.0])
+            under = InequalityReport.build(side - gap, side, "convex", [1.0, 2.0])
+            assert over.holds and over.equality == within
+            assert under.holds == under.equality == within
