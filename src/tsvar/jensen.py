@@ -172,7 +172,8 @@ def quasi_arithmetic_gap(ts: TimeScale, f, phi, psi) -> InequalityReport:
     """Gap between the psi- and phi-quasi-arithmetic means of f.
 
     Requires phi strictly monotone on the range of f, psi strictly
-    increasing, and psi o phi^{-1} of definite convexity on Im(phi).
+    increasing (else PreconditionError), and psi o phi^{-1} of definite
+    convexity on Im(phi) (else ClassificationError, from the sign rule).
     The convex orientation gives psi-mean >= phi-mean.
     """
     f = _as_grid(ts, f)

@@ -492,19 +492,20 @@ class TestDirectionAtMagnitude:
     """F'' is tiny at large magnitudes but has its sign: the direction
     follows it, for F and for psi o phi^{-1}."""
 
-    @pytest.mark.parametrize("F,lo,hi", [(Power(0.5), 1e8, 2e8), (Log(), 1e7, 2e7)],
-                             ids=repr)
-    def test_classifier(self, F, lo, hi):
+    # F'' is about -1e-13 and -5e-15 here: tiny, but of one sign
+    AT_MAGNITUDE = [("power", 0.5, 1e8, 2e8), ("log", None, 1e7, 2e7)]
+
+    @pytest.mark.parametrize("kind,alpha,lo,hi", AT_MAGNITUDE)
+    def test_classifier(self, kind, alpha, lo, hi):
+        F = COROLLARY_ROWS[kind][0](alpha)
         assert classify_convexity(F, lo, hi) == ("concave", True)
 
-    @pytest.mark.parametrize("F,lo,hi", [(Power(0.5), 1e8, 2e8), (Log(), 1e7, 2e7)],
-                             ids=repr)
-    def test_jensen_matches_its_corollary(self, F, lo, hi):
+    @pytest.mark.parametrize("kind,alpha,lo,hi", AT_MAGNITUDE)
+    def test_jensen_matches_its_corollary(self, kind, alpha, lo, hi):
         ts = uniform(0, 1, 10)
         f = np.random.default_rng(1).uniform(lo, hi, 11)
-        rep = jensen_gap(ts, f, F)
-        kind = "log" if isinstance(F, Log) else "power"
-        special = special_case_gap(kind, ts, f, alpha=0.5)
+        rep = jensen_gap(ts, f, COROLLARY_ROWS[kind][0](alpha))
+        special = special_case_gap(kind, ts, f, alpha=alpha)
         assert rep.direction == special.direction == "concave_le"
         assert rep.holds and special.holds
 
