@@ -40,9 +40,6 @@ from .solvers import (
     admissible,
     evaluate_functional,
     solve,
-    solve_exp_derivative,
-    solve_power_weighted,
-    solve_xlogx_shifted,
 )
 from .timescale import (
     GridFunction,

@@ -160,8 +160,12 @@ def special_case_gap(kind: str, ts: TimeScale, f, alpha=None) -> InequalityRepor
         raise ParameterError(f"{kind.replace('_', ' ')} inequality needs alpha "
                              f"outside {{{excluded[0]:g}, {excluded[1]:g}}}")
     f = _as_grid(ts, f).values
+    fk = f[:len(ts.kappa_points())]
+    if reciprocal:  # sides of degree 0 in f: formed on f / 2**k (exact), about 1
+        k = sum(math.frexp(float(v))[1] for v in (np.min(fk), np.max(fk))) // 2
+        f = np.ldexp(f, -k)
     g = 1.0 / f if reciprocal else np.ones_like(f)
-    w, lhs, rhs, convexity, fk = _weighted_sides(ts, f, g, make_F(alpha))
+    w, lhs, rhs, convexity, _ = _weighted_sides(ts, f, g, make_F(alpha))
     # a numpy scalar, so a power that overflows gives inf instead of raising
     scale = np.float64(w) ** alpha if reciprocal else 1.0
     return InequalityReport.build(scale * lhs, scale * (w * rhs), convexity, fk)
@@ -193,13 +197,23 @@ def quasi_arithmetic_gap(ts: TimeScale, f, phi, psi) -> InequalityReport:
     mean_phi = _finite("mean", _kappa_integral(ts, phi(fk)) / span)
     # (psi o phi^{-1})'' at phi(x) is (psi'' phi' - psi' phi'') / phi'^3, of
     # the sign of the difference times sign phi' (the cube underflows near
-    # the float max); the difference rounds within a few u of |a| + |b|
-    a = np.asarray(psi.deriv2(xs), dtype=float) * dphi
-    b = dpsi * np.asarray(phi.deriv2(xs), dtype=float)
-    kind, _ = classify_samples(np.sign(dphi) * (a - b),
-                               4.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b)), fmin, fmax)
+    # the float max); the difference rounds within a few u of |a| + |b|, and
+    # one that overflows (one term infinite, or both of opposite signs) is
+    # decided by its sign alone
+    a, b = _times(psi.deriv2(xs), dphi), _times(dpsi, phi.deriv2(xs))
+    d = np.sign(dphi) * (a - b)
+    err = 4.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b))
+    big = np.isinf(d)
+    kind, _ = classify_samples(np.where(big, np.sign(d), d), np.where(big, 0.0, err),
+                               fmin, fmax)
     return InequalityReport.build(_apply_inverse(psi, mean_psi, fmin, fmax),
                                   _apply_inverse(phi, mean_phi, fmin, fmax), kind, fk)
+
+
+def _times(u, v):
+    """u * v, and 0 wherever a factor is exactly 0, which 0 * inf is not."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    return np.where((u == 0.0) | (v == 0.0), 0.0, u * v)
 
 
 def _apply_inverse(fn, target, xmin, xmax):

@@ -1,9 +1,10 @@
-"""Closed-form global solvers for the three variational problem classes.
+"""Closed-form global solver for the three variational problem classes.
 
-Each solver turns a boundary-value variational problem on a time scale into
-its closed-form optimal trajectory plus the optimal value, both derived from
-the equality case of the matching Jensen-type inequality.  A generic
-functional evaluator handles arbitrary admissible candidate trajectories.
+One solver turns a boundary-value variational problem on a time scale into
+its closed-form optimal trajectory plus the optimal value, both from the
+equality case of Jensen's inequality, with what differs between the kinds
+read from one table, KINDS.  A generic functional evaluator handles
+arbitrary admissible candidate trajectories.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .functions import CONVEXITY_SAMPLES, ScalarFunction
+from .functions import (CONVEXITY_SAMPLES, Exp, Power, ScalarFunction, XLogX,
+                        classify_samples)
 from .roots import invert_increasing
 from .timescale import (JUMP_TOL, GridFunction, TimeScale, _grid_values,
                         chain_delta)
@@ -118,111 +120,76 @@ def _trajectory(p, yvals, increasing=False):
     return traj
 
 
-def _solution(p, traj, extremum, span, C, value):
-    """The Solution with optimal value value(span, C), which must be finite."""
-    try:
-        v = value(span, C)
-    except OverflowError:
-        v = math.inf
-    if not math.isfinite(v):
-        raise DomainError(f"the optimal value at C = {C} is not finite")
-    return Solution(traj, v, extremum, C)
+def _curvature(F):
+    """The sign rule on F''(1), which decides: each row's F'' keeps one sign
+    on (0, inf).  Its sign is passed, as alpha (alpha - 1) may overflow."""
+    return classify_samples(np.sign(F.deriv2(np.ones(1))), 0.0, 1.0, 1.0)[0]
 
 
 def solve(p: VariationalProblem) -> Solution:
-    return KINDS[p.kind].solve(p)
+    """Optimal trajectory and value of any kind, by Jensen's equality case.
 
-
-def solve_power_weighted(p: VariationalProblem) -> Solution:
-    """Optimal trajectory y(t) = G^{-1}(C (t - a)) of the power-weighted problem.
-
-    C = G(B) / (b - a).  The exponent regime decides whether the closed form
-    is the global minimum (alpha < 0 or alpha > 1) or maximum (0 < alpha < 1);
-    the optimal value is (b - a) * C**alpha.
-    """
-    ts, B, phi, alpha = p.ts, float(p.B), p.phi, p.alpha
+    The functional is the integral of F(u), u = (T o y)^Delta + g(phi(t)),
+    with F, the shift g and T = G (see weight_antiderivative) or the identity
+    from the kind's row.  Jensen's inequality is an equality just when u is
+    one constant C on [a, b]^kappa, so C = (T(B) + integral of g(phi)) /
+    (b - a), T(y(t)) = C (t - a) - integral_a^t g(phi), and the value is
+    (b - a) F(C): the minimum for a convex F, the maximum for a concave one.
+    An affine F (x^0 or x^1) makes every y optimal: DegenerateProblemError.
+    Under the increase rule a shifted y rises by C - g(phi) > 0, else
+    FeasibilityError."""
+    kind, ts, B, phi = KINDS[p.kind], p.ts, float(p.B), p.phi
     span = ts.b - ts.a
-    G = weight_antiderivative(phi)
-    if alpha in (0.0, 1.0):
-        const = span if alpha == 0.0 else float(G(B)) if B > 0 else None
-        if const is None:
-            raise PreconditionError("power_weighted problem requires B > 0")
-        raise DegenerateProblemError(
-            f"exponent {alpha} makes the functional constant at {const}",
-            constant_value=const,
-        )
-    if B <= 0.0:
-        raise PreconditionError("power_weighted problem requires B > 0")
-    # an overflow here shows as a non-finite C, rejected below
-    with np.errstate(all="ignore"):
-        xs = np.linspace(0.0, B, CONVEXITY_SAMPLES)
-        probe = np.asarray(phi(xs), dtype=float)
-        C = float(G(B)) / span
-        if np.any(probe <= 0.0):
-            raise DomainError("phi must be positive on [0, B]")
-        phi.check_domain(xs)
-    if not math.isfinite(C):
-        raise DomainError(f"C = {C} is not finite")
-    # y(a) = 0, y(b) = B, and the interior roots lie in [0, B], where G rises
-    yvals = np.zeros(len(ts.points))
-    yvals[1:-1] = invert_increasing(G, C * (ts.points[1:-1] - ts.a), 0.0, B,
-                                    gprime=phi)
-    yvals[-1] = B
-    traj = _trajectory(p, yvals, increasing=True)
-    extremum = "min" if (alpha < 0.0 or alpha > 1.0) else "max"
-    return _solution(p, traj, extremum, span, C, lambda span, C: span * C ** alpha)
-
-
-def _jensen_equality(p, g, value, increasing=False):
-    """Minimizer on which y^Delta + g(phi) is one constant C on [a, b]^kappa.
-
-    That is the equality case of Jensen's inequality, so C = (B + integral
-    of g(phi)) / (b - a), y(t) = C (t - a) - integral_a^t g(phi), and the
-    minimum is value(b - a, C).  With ``increasing`` the trajectory must be
-    strictly increasing, which for g = id demands C > phi on [a, b]^kappa.
-    """
-    ts = p.ts
-    span = ts.b - ts.a
-    phi = p.phi_on_kappa
-    bad = np.flatnonzero(~(np.isfinite(phi) & (phi > 0.0)))
-    if len(bad):
-        t_bad = float(ts.points[bad[0]])
-        raise DomainError(f"phi must be finite and positive on the scale; "
-                          f"phi({t_bad}) = {float(phi[bad[0]])}")
-    # an overflow here shows as a non-finite C or trajectory, rejected below
-    with np.errstate(all="ignore"):
-        P = ts.cumulative_delta_integral(GridFunction(ts, g(phi)))
-        C = (float(p.B) + float(P[-1])) / span
-        yvals = C * (ts.points - ts.a) - P
-    if not math.isfinite(C):
-        raise DomainError(f"C = {C} is not finite")
-    if increasing:
-        bad = np.flatnonzero(C - phi <= 0.0)
+    F = kind.F(p.alpha)
+    curvature, slope = _curvature(F), float(F.deriv(1.0))
+    if kind.shift is not None:          # phi is read on the scale
+        phik = p.phi_on_kappa
+        bad = np.flatnonzero(~(np.isfinite(phik) & (phik > 0.0)))
         if len(bad):
             t_bad = float(ts.points[bad[0]])
-            raise FeasibilityError(
-                f"infeasible: C = {C} is not greater than phi({t_bad}) = "
-                f"{float(phi[bad[0]])}",
-                point=t_bad,
-            )
+            raise DomainError(f"phi must be finite and positive on the scale; "
+                              f"phi({t_bad}) = {float(phik[bad[0]])}")
+    if kind.substitute and B <= 0.0 and slope != 0.0:  # G needs B > 0; x^0 reads no G
+        raise PreconditionError(f"{p.kind} problem requires B > 0")
+    G = weight_antiderivative(phi) if kind.substitute else None
+    # an overflow here shows as a non-finite C, trajectory or value, rejected below
+    with np.errstate(all="ignore"):
+        P, Q = 0.0, float(G(B)) if kind.substitute else B
+        if kind.shift is not None:
+            P = ts.cumulative_delta_integral(GridFunction(ts, kind.shift(phik)))
+            Q += float(P[-1])
+        C = Q / span
+        yvals = C * (ts.points - ts.a) - P
+        value = span * float(F(C))
+    if curvature == "affine":           # F = x^1 sums to G(B), x^0 to b - a
+        const = Q if slope else span
+        raise DegenerateProblemError(
+            f"exponent {p.alpha} makes the functional constant at {const}",
+            constant_value=const)
+    if kind.substitute:                 # phi is read on y's range [0, B]
+        xs = np.linspace(0.0, B, CONVEXITY_SAMPLES)
+        with np.errstate(all="ignore"):
+            if np.any(np.asarray(phi(xs), dtype=float) <= 0.0):
+                raise DomainError("phi must be positive on [0, B]")
+            phi.check_domain(xs)
+    if not math.isfinite(C):
+        raise DomainError(f"C = {C} is not finite")
+    increasing = _increasing in kind.rules
+    if increasing and kind.shift is not None:
+        g = kind.shift(phik)
+        bad = np.flatnonzero(C - g <= 0.0)
+        if len(bad):
+            t_bad = float(ts.points[bad[0]])
+            raise FeasibilityError(f"infeasible: C = {C} is not greater than "
+                                   f"phi({t_bad}) = {float(g[bad[0]])}", point=t_bad)
+    if kind.substitute:     # G rises on [0, B], which holds the interior roots
+        yvals[1:-1] = invert_increasing(G, yvals[1:-1], 0.0, B, gprime=phi)
+        yvals[-1] = B
     yvals[0] = 0.0
     traj = _trajectory(p, yvals, increasing)
-    return _solution(p, traj, "min", span, C, value)
-
-
-def solve_exp_derivative(p: VariationalProblem) -> Solution:
-    """Optimal trajectory of the exponential-of-derivative problem: the
-    Jensen equality case with g = ln; the minimum is (b - a) e^C."""
-    return _jensen_equality(p, np.log, lambda span, C: span * math.exp(C))
-
-
-def solve_xlogx_shifted(p: VariationalProblem) -> Solution:
-    """Optimal trajectory of the shifted x*ln(x) problem: the Jensen equality
-    case with g = id, feasible when C > phi(t) everywhere on the kappa-grid,
-    which makes y strictly increasing.  The minimum is (b - a) C ln(C)."""
-    return _jensen_equality(p, lambda phi: phi,
-                            lambda span, C: span * C * math.log(C),
-                            increasing=True)
+    if not math.isfinite(value):
+        raise DomainError(f"the optimal value at C = {C} is not finite")
+    return Solution(traj, value, "min" if curvature == "convex" else "max", C)
 
 
 def _increasing(p, Y, d):
@@ -280,9 +247,12 @@ def _xlogx_integrand(p, y, d, mu, rise, at):
 
 @dataclass(frozen=True)
 class _Kind:
-    """What makes a problem kind a kind, read wherever kinds differ."""
+    """What makes a problem kind a kind, read wherever kinds differ: its
+    functional is the integral of F(u), u = (T o y)^Delta + g(phi(t))."""
 
-    solve: Callable           # p -> Solution
+    F: Callable               # alpha -> F, a ScalarFunction
+    shift: Optional[Callable]  # g, on phi's values on the scale, or None
+    substitute: bool          # T = G, phi's antiderivative, else T = id
     integrand: Callable       # as gap_integrand takes it
     # the walk's rules after the boundary values, in order: (p, Y, d) ->
     # (mask of the rows dropped, a function building their error)
@@ -291,11 +261,11 @@ class _Kind:
 
 
 KINDS = {
-    "power_weighted": _Kind(solve_power_weighted, _power_integrand,
+    "power_weighted": _Kind(Power, None, True, _power_integrand,
                             (_increasing, _in_phi_domain), needs_alpha=True),
-    "exp_derivative": _Kind(solve_exp_derivative, _exp_integrand),
-    "xlogx_shifted": _Kind(solve_xlogx_shifted, _xlogx_integrand,
-                           (_increasing, _shift_positive)),
+    "exp_derivative": _Kind(lambda alpha: Exp(), np.log, False, _exp_integrand),
+    "xlogx_shifted": _Kind(lambda alpha: XLogX(), lambda phi: phi, False,
+                           _xlogx_integrand, (_increasing, _shift_positive)),
 }
 
 

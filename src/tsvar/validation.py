@@ -118,8 +118,9 @@ def _best_of(p, blocks, sign):
 
 
 def _closed_form(p):
+    """The solution, its value, and the sign that makes the optimum least."""
     sol = solve(p)
-    return sol, float(sol.optimal_value), sol.extremum
+    return sol, float(sol.optimal_value), 1.0 if sol.extremum == "min" else -1.0
 
 
 def _global_report(p, count, best_y, closed, sign, mode, **more):
@@ -160,7 +161,7 @@ def exhaustive_verify(p: VariationalProblem, resolution: float) -> OracleReport:
     _require_discrete(p)
     if not 0 < resolution < math.inf:
         raise PreconditionError("resolution must be positive and finite")
-    sol, closed, extremum = _closed_form(p)
+    sol, closed, sign = _closed_form(p)
     n = len(p.ts.points) - 1
     B = float(p.B)
 
@@ -179,7 +180,6 @@ def exhaustive_verify(p: VariationalProblem, resolution: float) -> OracleReport:
             f"use a coarser resolution"
         )
 
-    sign = 1.0 if extremum == "min" else -1.0
     if n == 1:
         blocks = [np.zeros((1, 0), dtype=np.int64)]
     elif count:
@@ -347,10 +347,9 @@ def random_verify(p: VariationalProblem, samples: int, seed: int) -> OracleRepor
         raise PreconditionError("samples must be >= 1")
     if seed < 0:
         raise PreconditionError("seed must be >= 0")
-    sol, closed, extremum = _closed_form(p)
+    sol, closed, sign = _closed_form(p)
     n = len(p.ts.points) - 1
     rng = np.random.default_rng(seed)
-    sign = 1.0 if extremum == "min" else -1.0
     rows = _rows(n + 1)
     Ws = (1.0 - rng.random((min(rows, samples - start), n))  # in (0, 1]
           for start in range(0, samples, rows))
@@ -381,10 +380,9 @@ def perturbation_verify(p: VariationalProblem, eps: float,
     """
     if not 0 < eps < math.inf:
         raise PreconditionError("eps must be positive and finite")
-    sol, closed, extremum = _closed_form(p)
+    sol, closed, sign = _closed_form(p)
     base = trajectory if trajectory is not None else sol.trajectory
     base_val = evaluate_functional(p, base)
-    sign = 1.0 if extremum == "min" else -1.0
     n = len(p.ts.points)
 
     # move r shifts columns cols[r] by signs[r] * eps: each interior column

@@ -24,10 +24,9 @@ def perturbation_verify_per_move(p: VariationalProblem, eps: float,
                                  seed: int = 12345) -> OracleReport:
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    sol, closed, extremum = _closed_form(p)
+    sol, closed, sign = _closed_form(p)
     base = trajectory if trajectory is not None else sol.trajectory
     base_val = evaluate_functional(p, base)
-    sign = 1.0 if extremum == "min" else -1.0
     n = len(p.ts.points)
     interior = range(1, n - 1)
 

@@ -26,8 +26,6 @@ from tsvar import (
     random_verify,
     real_interval,
     solve,
-    solve_power_weighted,
-    solve_xlogx_shifted,
     special_case_gap,
     uniform,
     weighted_jensen_gap,
@@ -51,7 +49,7 @@ def test_criterion_1_worked_example_reproduction():
     t0 = time.perf_counter()
     p = VariationalProblem("xlogx_shifted", uniform(0, 5, 5), 25.0,
                            Affine(2.0, 1.0))
-    sol = solve_xlogx_shifted(p)
+    sol = solve(p)
     elapsed = time.perf_counter() - t0
     ok = (
         np.array_equal(sol.trajectory.values, [0, 9, 16, 21, 24, 25])
@@ -169,7 +167,7 @@ def test_criterion_5_solver_cross_check():
     # root-found inverse versus the known closed form ln(1 + t)
     ts = real_interval(0.0, 1.0, 129)
     p = VariationalProblem("power_weighted", ts, math.log(2), Exp(), alpha=2.0)
-    sol = solve_power_weighted(p)
+    sol = solve(p)
     # invert G(y) = e^y - 1 at 100 targets C (t - a) with C = 1, so the
     # trajectory should be ln(1 + t); also spot-check stored grid values
     G = weight_antiderivative(Exp())
@@ -212,7 +210,7 @@ def test_criterion_7_feasibility_rejection():
     p = VariationalProblem("xlogx_shifted", uniform(0, 2, 2), -1.0,
                            Constant(1.0))
     try:
-        solve_xlogx_shifted(p)
+        solve(p)
     except FeasibilityError as exc:
         ok = exc.point is not None and str(exc.point) in str(exc)
     else:

@@ -443,6 +443,35 @@ class TestOverflow:
         assert math.isfinite(rep.lhs) and rep.equality
 
 
+class TestAtExtremeMagnitude:
+    """Where a factor of a side or of a second derivative leaves the floats
+    but the result does not, the check still answers."""
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_reciprocal_power_sides_free_of_scale(self, scale):
+        # (1/f) f^2 overflows at 1e200 and underflows at 1e-200, but the sides,
+        # (integral of 1/f)^alpha times the integral of f^alpha and
+        # (b - a)^(1 + alpha), are homogeneous of degree 0 in f
+        ts = uniform(0, 1, 3)
+        f = scale * np.array([1.0, 2.0, 3.0, 4.0])
+        rep = special_case_gap("reciprocal_power", ts, f, alpha=1.0)
+        lhs = (ts.delta_integral(GridFunction(ts, 1.0 / f))
+               * ts.delta_integral(GridFunction(ts, f)))
+        assert rep.lhs == pytest.approx(lhs, rel=1e-14)
+        assert rep.rhs == pytest.approx(1.0, rel=1e-14)
+        assert rep.holds and not rep.equality
+
+    def test_quasi_where_phi_derivatives_overflow(self):
+        # log' = 1/f and log'' = -1/f^2 overflow on subnormal f, and psi'' = 0:
+        # psi'' phi' is 0, not NaN, and psi' phi'' = -inf gives the sign
+        ts = uniform(0, 1, 3)
+        f = np.array([1e-310, 2e-310, 3e-310, 4e-310])
+        rep = quasi_arithmetic_gap(ts, f, Log(), Identity())
+        assert rep.direction == "convex_ge" and rep.holds
+        assert rep.lhs == pytest.approx(2e-310, rel=1e-9)
+        assert rep.rhs == pytest.approx(6.0 ** (1 / 3) * 1e-310, rel=1e-9)
+
+
 # Each corollary written out as weighted Jensen: F from alpha, and whether
 # the weight is 1/f (else 1); the exponents are those of the corollaries'
 # regimes on either side of their excluded values.

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsvar import (
     AdmissibilityError,
@@ -25,14 +26,12 @@ from tsvar import (
     VariationalProblem,
     XLogX,
     admissible,
+    classify_convexity,
     custom,
     evaluate_functional,
     exhaustive_verify,
     real_interval,
     solve,
-    solve_exp_derivative,
-    solve_power_weighted,
-    solve_xlogx_shifted,
     uniform,
 )
 from generators import random_admissible_trajectory, random_discrete_timescale
@@ -54,7 +53,7 @@ class TestPowerWeighted:
     def test_unit_weight_straight_line(self):
         ts = real_interval(0, 1, 129)
         p = VariationalProblem("power_weighted", ts, 1.0, Constant(1.0), alpha=2.0)
-        sol = solve_power_weighted(p)
+        sol = solve(p)
         assert sol.C == pytest.approx(1.0, abs=1e-12)
         assert sol.extremum == "min"
         assert sol.optimal_value == pytest.approx(1.0, abs=1e-12)
@@ -63,7 +62,7 @@ class TestPowerWeighted:
     def test_exp_weight_log_solution(self):
         ts = real_interval(0, 1, 129)
         p = VariationalProblem("power_weighted", ts, math.log(2), Exp(), alpha=2.0)
-        sol = solve_power_weighted(p)
+        sol = solve(p)
         assert sol.C == pytest.approx(1.0, abs=1e-12)
         expected = np.log(1.0 + ts.points)
         assert np.max(np.abs(sol.trajectory.values - expected)) < 1e-9
@@ -74,7 +73,7 @@ class TestPowerWeighted:
     def test_fractional_alpha_is_max(self):
         ts = uniform(0, 2, 4)
         p = VariationalProblem("power_weighted", ts, 4.0, Constant(1.0), alpha=0.5)
-        sol = solve_power_weighted(p)
+        sol = solve(p)
         assert sol.C == pytest.approx(2.0, abs=1e-12)
         assert sol.extremum == "max"
         assert sol.optimal_value == pytest.approx(2.0 * math.sqrt(2), abs=1e-12)
@@ -84,7 +83,7 @@ class TestPowerWeighted:
         ts = real_interval(0, 1, 65)
         p = VariationalProblem("power_weighted", ts, math.log(2), Exp(),
                                alpha=2.0)
-        sol = solve_power_weighted(p)
+        sol = solve(p)
         G = weight_antiderivative(p.phi)
         # y = G^{-1}(C (t - a)), so G(y(t)) = C (t - a) at every point
         residual = G(sol.trajectory.values) - sol.C * (ts.points - ts.a)
@@ -95,19 +94,19 @@ class TestPowerWeighted:
         for alpha, const in [(0.0, 2.0), (1.0, math.e ** 3 - 1.0)]:
             p = VariationalProblem("power_weighted", ts, 3.0, Exp(), alpha=alpha)
             with pytest.raises(DegenerateProblemError) as exc:
-                solve_power_weighted(p)
+                solve(p)
             assert exc.value.constant_value == pytest.approx(const, abs=1e-12)
 
     def test_nonpositive_B_rejected(self):
         p = VariationalProblem("power_weighted", uniform(0, 2, 2), -1.0,
                                Constant(1.0), alpha=2.0)
         with pytest.raises(PreconditionError):
-            solve_power_weighted(p)
+            solve(p)
 
     def test_boundary_exactness(self):
         p = VariationalProblem("power_weighted", uniform(0, 3, 6), 2.5,
                                Affine(1.0, 0.5), alpha=3.0)
-        sol = solve_power_weighted(p)
+        sol = solve(p)
         assert sol.trajectory.values[0] == 0.0
         assert abs(sol.trajectory.values[-1] - 2.5) <= 1e-9
 
@@ -116,7 +115,7 @@ class TestExpDerivative:
     def test_unit_weight(self):
         p = VariationalProblem("exp_derivative", uniform(0, 2, 2), 2.0,
                                Constant(1.0))
-        sol = solve_exp_derivative(p)
+        sol = solve(p)
         assert sol.C == pytest.approx(1.0, abs=1e-14)
         assert sol.optimal_value == pytest.approx(2 * math.e, abs=1e-10)
         assert np.allclose(sol.trajectory.values, [0, 1, 2])
@@ -124,7 +123,7 @@ class TestExpDerivative:
     def test_zero_boundary(self):
         ts = custom(atoms=[0.0, 0.5, 1.75, 3.0])
         p = VariationalProblem("exp_derivative", ts, 0.0, Constant(1.0))
-        sol = solve_exp_derivative(p)
+        sol = solve(p)
         assert sol.C == 0.0
         assert np.allclose(sol.trajectory.values, 0.0)
         assert sol.optimal_value == pytest.approx(3.0, abs=1e-12)
@@ -132,7 +131,7 @@ class TestExpDerivative:
     def test_exponential_weight(self):
         ts = uniform(0, 2, 2)
         p = VariationalProblem("exp_derivative", ts, 2.0, Exp())
-        sol = solve_exp_derivative(p)
+        sol = solve(p)
         assert sol.C == pytest.approx(1.5, abs=1e-14)
         assert sol.optimal_value == pytest.approx(2 * math.exp(1.5), abs=1e-12)
         # y(t) = -integral of s + 1.5 t on the integer scale
@@ -142,7 +141,7 @@ class TestExpDerivative:
         # minimize e^{d0} + e^{d1} with d0 + d1 = 2 by scanning
         p = VariationalProblem("exp_derivative", uniform(0, 2, 2), 2.0,
                                Constant(1.0))
-        sol = solve_exp_derivative(p)
+        sol = solve(p)
         d0 = np.linspace(-3, 5, 20001)
         brute = np.min(np.exp(d0) + np.exp(2.0 - d0))
         assert sol.optimal_value == pytest.approx(float(brute), abs=1e-7)
@@ -152,12 +151,12 @@ class TestExpDerivative:
         p = VariationalProblem("exp_derivative", uniform(0, 2, 2), 1.0,
                                Affine(1.0, -1.0))
         with pytest.raises(DomainError):
-            solve_exp_derivative(p)
+            solve(p)
 
 
 class TestXLogXShifted:
     def test_worked_example(self):
-        sol = solve_xlogx_shifted(worked_problem())
+        sol = solve(worked_problem())
         assert sol.C == 10.0
         assert np.array_equal(sol.trajectory.values, [0, 9, 16, 21, 24, 25])
         assert sol.optimal_value == pytest.approx(50 * math.log(10), abs=1e-9)
@@ -165,7 +164,7 @@ class TestXLogXShifted:
     def test_unit_weight(self):
         p = VariationalProblem("xlogx_shifted", uniform(0, 2, 2), 2.0,
                                Constant(1.0))
-        sol = solve_xlogx_shifted(p)
+        sol = solve(p)
         assert sol.C == pytest.approx(2.0, abs=1e-14)
         assert np.allclose(sol.trajectory.values, [0, 1, 2])
         assert sol.optimal_value == pytest.approx(4 * math.log(2), abs=1e-12)
@@ -173,21 +172,21 @@ class TestXLogXShifted:
     def test_feasibility_margin(self):
         p = VariationalProblem("xlogx_shifted", uniform(0, 2, 2), 0.5,
                                Constant(1.0))
-        sol = solve_xlogx_shifted(p)  # C = 1.25 > 1
+        sol = solve(p)  # C = 1.25 > 1
         assert sol.C == pytest.approx(1.25, abs=1e-14)
 
     def test_infeasible_names_point(self):
         p = VariationalProblem("xlogx_shifted", uniform(0, 2, 2), -1.0,
                                Constant(1.0))
         with pytest.raises(FeasibilityError) as exc:
-            solve_xlogx_shifted(p)
+            solve(p)
         assert exc.value.point is not None
         assert str(exc.value.point) in str(exc.value)
 
     def test_continuous_scale(self):
         ts = real_interval(0, 1, 129)
         p = VariationalProblem("xlogx_shifted", ts, 2.0, Affine(1.0, 1.0))
-        sol = solve_xlogx_shifted(p)
+        sol = solve(p)
         # C = (2 + 3/2) / 1 = 3.5; y(t) = 3.5 t - t - t^2/2
         assert sol.C == pytest.approx(3.5, abs=1e-10)
         expected = 2.5 * ts.points - 0.5 * ts.points ** 2
@@ -295,6 +294,46 @@ class TestDegenerateAndOverflow:
             with pytest.raises(DomainError, match=r"outside open domain "
                                                   r"\(0\.0, inf\) of Power"):
                 solve(p)
+
+
+class TestKindRows:
+    """solve reads F, the shift g on phi and T = G or the identity from the
+    kind's row of KINDS, and sets u = (T o y)^Delta + g(phi) to C."""
+
+    @pytest.mark.parametrize("alpha", [-2.0, -1.0, -0.5, 0.5, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(solvers.KINDS))
+    def test_one_point_decides_curvature(self, name, alpha):
+        # F'' keeps one sign on F's range, so F''(1) decides for all of it;
+        # e^x is sampled on [-700, 700], as its F'' overflows past 709
+        F = solvers.KINDS[name].F(alpha)
+        lo, hi = (-700.0, 700.0) if isinstance(F, Exp) else (1e-6, 1e6)
+        assert solvers._curvature(F) == classify_convexity(F, lo, hi)[0]
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(name=st.sampled_from(sorted(solvers.KINDS)),
+           alpha=st.sampled_from([-1.0, 0.5, 2.0, 3.0]),
+           gaps=st.lists(st.floats(0.1, 3.0), min_size=1, max_size=12),
+           B=st.floats(0.5, 20.0), slope=st.floats(0.0, 2.0),
+           intercept=st.floats(0.1, 2.0))
+    def test_u_is_C_and_value_is_span_F_of_C(self, name, alpha, gaps, B,
+                                             slope, intercept):
+        # bounds relative to u's terms and to the value, with a margin of
+        # about 30 and 70 over the worst of 3000 seeded draws
+        kind = solvers.KINDS[name]
+        ts, phi = custom(atoms=np.cumsum([0.0] + gaps)), Affine(slope, intercept)
+        p = VariationalProblem(name, ts, B, phi,
+                               alpha=alpha if kind.needs_alpha else None)
+        try:
+            sol = solve(p)
+        except FeasibilityError:
+            return                      # C <= phi somewhere: no closed form
+        T = weight_antiderivative(phi) if kind.substitute else np.positive
+        g = 0.0 if kind.shift is None else kind.shift(p.phi_on_kappa)
+        u = np.diff(T(sol.trajectory.values)) / np.diff(ts.points) + g
+        assert np.all(np.abs(u - sol.C) <= 1e-9 * (abs(sol.C) + np.abs(g)))
+        span_F_C = (ts.b - ts.a) * float(kind.F(alpha)(sol.C))
+        assert evaluate_functional(p, sol.trajectory) == pytest.approx(
+            span_F_C, rel=1e-12, abs=0.0)
 
 
 def long_q_problem():
