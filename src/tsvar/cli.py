@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -297,6 +298,39 @@ def read_trajectory_csv(path, ts):
     return timescale.GridFunction(ts, [row["y"] for row in rows])
 
 
+_JSON_CHUNK = 1024  # numbers per write of an array of plain numbers
+
+
+def _dump_json(obj, fh, indent="\n"):
+    """Write what json.load gives as ``json.dump(obj, fh, indent=2,
+    sort_keys=True)`` writes it, without json's pure-Python indenting
+    encoder: an array of plain numbers goes out in chunks of reprs."""
+    sep = "," + indent + "  "
+    if not obj or not isinstance(obj, (dict, list)):
+        fh.write(json.dumps(obj))   # a scalar, or an empty object or array
+    elif isinstance(obj, dict):
+        fh.write("{" + sep[1:])
+        for i, key in enumerate(sorted(obj)):
+            fh.write((sep if i else "") + json.dumps(key) + ": ")
+            _dump_json(obj[key], fh, sep[1:])
+        fh.write(indent + "}")
+    else:
+        fh.write("[" + sep[1:])
+        try:    # exact ints and finite floats, whose reprs are json's text: a
+            # float sum is finite just when each float is, and an int past
+            # the float range overflows beside a float
+            plain = set(map(type, obj)) <= {int, float} and abs(sum(obj)) <= _MAX
+        except OverflowError:
+            plain = False
+        for i in range(0, len(obj), _JSON_CHUNK if plain else 1):
+            fh.write(sep if i else "")
+            if plain:
+                fh.write(sep.join(map(repr, obj[i:i + _JSON_CHUNK])))
+            else:
+                _dump_json(obj[i], fh, sep[1:])
+        fh.write(indent + "]")
+
+
 # -- subcommands ----------------------------------------------------------
 
 
@@ -318,7 +352,7 @@ def cmd_solve(args):
         out_dir.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(out_dir / "trajectory.csv", problem.ts, sol.trajectory)
         with open(out_dir / "solution.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            _dump_json(summary, fh)
             fh.write("\n")
     except OSError as exc:
         raise SchemaError(f"cannot write {out_dir}: {exc}") from exc
@@ -386,7 +420,10 @@ def cmd_verify(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The one parser of a process, built on the first call: parse_args
+    leaves it as it was, so repeated calls of main share it."""
     parser = argparse.ArgumentParser(
         prog="tsvar",
         description="Variational problems and Jensen-type inequalities "

@@ -149,7 +149,7 @@ def solve(p: VariationalProblem) -> Solution:
             t_bad = float(ts.points[bad[0]])
             raise DomainError(f"phi must be finite and positive on the scale; "
                               f"phi({t_bad}) = {float(phik[bad[0]])}")
-    if kind.substitute and B <= 0.0 and slope != 0.0:  # G needs B > 0; x^0 reads no G
+    if kind.substitute and B <= 0.0:    # y rises from 0 to B, where G is read
         raise PreconditionError(f"{p.kind} problem requires B > 0")
     G = weight_antiderivative(phi) if kind.substitute else None
     # an overflow here shows as a non-finite C, trajectory or value, rejected below

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +134,20 @@ class TestSolve:
         assert code == 3
         assert "degenerate" in err
         assert format(math.e ** 3 - 1) [:10] in err  # constant value G(B)
+
+    def test_degenerate_alpha_with_nonpositive_B_is_a_precondition(
+            self, tmp_path, capsys):
+        # no trajectory rises from 0 to B <= 0, so no constant value is reported
+        p = {
+            "schema_version": "1",
+            "timescale": {"kind": "uniform", "a": 0, "b": 2, "n": 4},
+            "problem": {"kind": "power_weighted", "B": -1, "alpha": 0,
+                        "phi": {"family": "constant", "value": 1}},
+        }
+        f = write_json(tmp_path / "p.json", p)
+        code, out, err = run_cli(["solve", f, "-o", str(tmp_path / "out")], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error[precondition]: power_weighted problem requires B > 0\n"
 
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         bad = json.loads(json.dumps(WORKED_PROBLEM))
@@ -765,6 +781,54 @@ def test_fuzzed_files_exit_inside_contract(tmp_path, capsys, data):
     assert code in (0, 2, 3, 4, 5)
     if out:
         strict_json(out)
+
+
+class TestRepeatedMain:
+    """In-process calls of main share one parser, built on the first call;
+    each call in a sequence gives what it gives in a process of its own."""
+
+    @staticmethod
+    def sequences(tmp_path):
+        problem = dict(WORKED_PROBLEM,
+                       oracle={"mode": "random", "samples": 50, "seed": 3})
+        p = write_json(tmp_path / "p.json", problem)
+        c = write_json(tmp_path / "c.json", WEIGHTED_CHECK)
+        a, b = str(tmp_path / "A"), str(tmp_path / "B")
+        return [
+            [["verify", "--wsc"], ["verify", p]],
+            [["check"], ["check", c]],
+            [["solve", p, "-o", a], ["solve", p, "-o", b]],
+        ]
+
+    @staticmethod
+    def call(argv, capsys):
+        """Exit code, stdout, stderr and the files of the output directory."""
+        code, out, err = run_cli(argv, capsys)
+        files = {}
+        if "-o" in argv:
+            out_dir = Path(argv[argv.index("-o") + 1])
+            files = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+            shutil.rmtree(out_dir)
+        return code, out, err, files
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_each_call_gives_what_it_gives_alone(self, tmp_path, capsys, which):
+        sequence = self.sequences(tmp_path)[which]
+        alone = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            alone.append(self.call(argv, capsys))
+        cli.build_parser.cache_clear()
+        assert [self.call(argv, capsys) for argv in sequence] == alone
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(sequence) - 1)
+
+    def test_usage_error_then_check(self, tmp_path, capsys):
+        (usage, _, err, _), (code, out, _, _) = [
+            self.call(argv, capsys) for argv in self.sequences(tmp_path)[1]]
+        assert (usage, code) == (2, 0)
+        assert err.startswith("usage: tsvar check")
+        assert strict_json(out)["holds"] is True
 
 
 def run_module(argv, **env):

@@ -103,6 +103,13 @@ class TestPowerWeighted:
         with pytest.raises(PreconditionError):
             solve(p)
 
+    def test_nonpositive_B_rejected_before_degenerate_alpha(self):
+        # x^0 makes every admissible y optimal, but no y rises from 0 to B <= 0
+        p = VariationalProblem("power_weighted", uniform(0, 2, 4), -1.0,
+                               Constant(1.0), alpha=0.0)
+        with pytest.raises(PreconditionError, match="requires B > 0"):
+            solve(p)
+
     def test_boundary_exactness(self):
         p = VariationalProblem("power_weighted", uniform(0, 3, 6), 2.5,
                                Affine(1.0, 0.5), alpha=3.0)
