@@ -61,7 +61,8 @@ class TimeScale:
             raise ConstructionError("time scale must be nonempty")
         if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(iv))):
             raise ConstructionError("atoms and interval ends must be finite")
-        if np.any(np.diff(atoms) <= POINT_TOL):
+        # an atom-only scale checks its gaps once they are built, below
+        if len(iv) and np.any(np.diff(atoms) <= POINT_TOL):
             raise ConstructionError("atoms must be strictly increasing")
         iv = iv[np.lexsort((iv[:, 1], iv[:, 0]))]
         lo, hi = iv[:, 0], iv[:, 1]
@@ -78,7 +79,15 @@ class TimeScale:
         # later one drops its first.  The atoms left are merged into the
         # nodes, which are in order.
         if not len(iv):
+            # the gaps are the graininess but at b: one subtraction builds
+            # both
             pts = atoms.copy()
+            mu = np.empty_like(pts)
+            gaps = mu[:-1]
+            np.subtract(pts[1:], pts[:-1], out=gaps)
+            mu[-1] = 0.0
+            if (gaps <= POINT_TOL).any():
+                raise ConstructionError("atoms must be strictly increasing")
         else:
             if atoms.size:
                 atoms = _outside_intervals(atoms, iv)
@@ -88,11 +97,13 @@ class TimeScale:
                 pts = np.delete(pts, shared * nodes)
             if atoms.size:
                 pts = np.insert(pts, np.searchsorted(pts, atoms), atoms)
-        gaps = np.diff(pts)
-        if (gaps <= 0).any():
-            # also an interval shorter than POINT_TOL that overlaps the one
-            # before: its nodes would interleave that interval's
-            raise ConstructionError("evaluation points are not strictly increasing")
+            gaps = np.diff(pts)
+            if (gaps <= 0).any():
+                # also an interval shorter than POINT_TOL that overlaps the
+                # one before: its nodes would interleave that interval's
+                raise ConstructionError(
+                    "evaluation points are not strictly increasing")
+            mu = np.append(gaps, 0.0)
         pts.flags.writeable = False  # kappa_points hands out views of it
         self.points = pts
         self.intervals = tuple(map(tuple, iv.tolist()))
@@ -101,14 +112,14 @@ class TimeScale:
         stop = np.searchsorted(pts, hi) + 1
         start = stop - nodes
         self._spans = np.stack([start, stop], axis=1)
-        # the grid's gaps; graininess is zero on every interval gap and at
-        # the max point (sigma(b) = b by convention)
-        gaps.flags.writeable = False  # shared with the lattice DP
-        self._gaps = gaps
-        self._mu = np.append(gaps, 0.0)
+        # graininess is zero on every interval gap and at the max point
+        # (sigma(b) = b by convention).  The grid's gaps are shared with
+        # the lattice DP; an atom-only scale's are a view of mu
+        self._mu, self._gaps = mu, gaps
         if len(iv):
-            np.copyto(self._mu[:-1], 0.0, where=_runs(start, stop - 1, len(gaps)))
+            np.copyto(mu[:-1], 0.0, where=_runs(start, stop - 1, len(gaps)))
             self._build_interval_tables(start, stop, nodes)
+        mu.flags.writeable = gaps.flags.writeable = False
 
     def _build_interval_tables(self, start, stop, nodes):
         """The tables the interval kernels read on every call.
@@ -390,19 +401,30 @@ def uniform(a, b, n):
     """n+1 equally spaced atoms on [a, b]."""
     if not a < b:
         raise ConstructionError("uniform requires a < b")
+    n = _integer(n, "uniform", "n")
     if n < 1:
         raise ConstructionError("uniform requires n >= 1")
-    return TimeScale(atoms=np.linspace(a, b, int(n) + 1))
+    return TimeScale(atoms=np.linspace(a, b, n + 1))
 
 
 def q_scale(q, n, m):
-    """Atoms {q**n, ..., q**m} of the quantum scale, q > 1."""
+    """Atoms {q**n, ..., q**m} of the quantum scale, q > 1.
+
+    Each atom is the double nearest q**k, ties to even, on every platform,
+    while both ends lie in [2**-960, 2**960] (see :func:`_power_ladder`);
+    outside that range it is ``float(q) ** k``, as libm's pow rounds it.
+    """
     if q <= 1:
         raise ConstructionError("q_scale requires q > 1")
+    n, m = _integer(n, "q_scale", "n"), _integer(m, "q_scale", "m")
     if not n < m:
         raise ConstructionError("q_scale requires n < m")
     try:
-        atoms = [float(q) ** k for k in range(int(n), int(m) + 1)]
+        x = float(q)
+        if _LADDER_MIN <= x ** n and x ** m <= _LADDER_MAX:
+            atoms = _power_ladder(x, n, m - n + 1)
+        else:
+            atoms = [x ** k for k in range(n, m + 1)]
     except OverflowError:
         raise ConstructionError(f"q_scale atom {q}**{m} overflows a float") from None
     return TimeScale(atoms=atoms)
@@ -421,6 +443,205 @@ def custom(atoms=(), intervals=(), quad_nodes_per_interval=None):
 
 
 # -- construction helpers and edge stencils ---------------------------------
+
+
+def _integer(value, kind, name):
+    """value as an int; ConstructionError for a value int() would truncate
+    (2.5) or cannot take (NaN, inf)."""
+    try:
+        k = int(value)
+    except (ValueError, OverflowError):
+        k = None
+    if k is None or k != value:
+        raise ConstructionError(f"{kind} requires an integer {name}, got {value!r}")
+    return k
+
+
+#: the ends between which q_scale builds its atoms by the ladder: there the
+#: Veltkamp split of a factor stays finite and the low words stay normal
+_LADDER_MIN, _LADDER_MAX = 2.0 ** -960, 2.0 ** 960
+#: a bound on the relative error one double-double product or reciprocal
+#: adds: 64 u**2, u = 2**-53, where Joldes, Muller and Popescu (ACM TOMS
+#: 44, 2017) prove 7 u**2 for the product
+_DD_ERROR = 2.0 ** -100
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
+#: q**s is squared into the ladder's next step only up to this, so that
+#: the step stays below 2**960
+_SQUARE_MAX = 2.0 ** 480
+#: the powers the ladder builds as Python floats before its numpy steps
+_CHAIN = 32
+
+
+def _power_ladder(q, n, count):
+    """The doubles nearest q**n, ..., q**(n + count - 1), ties to even, as
+    an array; q > 1 and both ends in [2**-960, 2**960].
+
+    Each power is a double-double pair hi + lo, normalised so that hi is
+    the double nearest the pair: q**n by binary powering (and a reciprocal
+    for n < 0), the next powers by products with q, then the ladder
+    H[f:f + t] = H[f - s:f - s + t] q**s, the step s doubling while
+    q**(2 s) <= 2**960.  A product of pairs is Dekker's exact product of
+    the high words plus the cross terms; the ladder's products run on
+    three buffers of count / 2 values.  They need only IEEE +, - and x, so
+    the bits are the same on every platform.  A pair is within
+    (|n| + count + 1) * _DD_ERROR of the exact power, relative, so its hi
+    is the nearest double unless a rounding midpoint lies that close; such
+    an atom, an exact tie among them, is rounded by :func:`_nearest_power`.
+    """
+    x = (q, 0.0)
+    first = _power(x, abs(n), _dd_mul, (1.0, 0.0))
+    # steps this short cost less as Python floats than as numpy calls:
+    # the first _CHAIN powers are a chain of products by q
+    powers = [_dd_reciprocal(first) if n < 0 else first]
+    for _ in range(min(count, _CHAIN) - 1):
+        powers.append(_dd_mul(powers[-1], x))
+    f = len(powers)
+    hi, lo = np.empty(count), np.empty(count)
+    hi[:f], lo[:f] = zip(*powers)
+    size = (count + 1) // 2
+    buf = np.empty((3, size))
+    s, step = 1, x
+    while f < count:
+        while 2 * s <= f and step[0] <= _SQUARE_MAX:
+            step = _dd_mul(step, step)
+            s *= 2
+        ph, pl = step
+        t = min(s, count - f)
+        a, al = hi[f - s:f - s + t], lo[f - s:f - s + t]
+        h, p = hi[f:f + t], lo[f:f + t]
+        a1, a2, e = buf[:, :t]
+        c = ph * _SPLIT
+        p1 = c - (c - ph)
+        p2 = ph - p1
+        # a ph = p + e exactly, from a = a1 + a2 in 26-bit halves
+        np.multiply(a, ph, out=p)
+        np.multiply(a, _SPLIT, out=a2)
+        np.subtract(a2, a, out=a1)
+        np.subtract(a2, a1, out=a1)
+        np.subtract(a, a1, out=a2)
+        np.multiply(a1, p1, out=e)
+        e -= p
+        a1 *= p2
+        e += a1
+        np.multiply(a2, p1, out=a1)
+        e += a1
+        a2 *= p2
+        e += a2
+        # the cross terms a pl + al ph, then hi + lo = p + e
+        np.multiply(a, pl, out=a1)
+        np.multiply(al, ph, out=a2)
+        a1 += a2
+        e += a1
+        np.add(p, e, out=h)
+        np.subtract(h, p, out=a1)
+        np.subtract(e, a1, out=p)
+        f += t
+    # hi is the nearest double unless hi + lo +- 2 eps hi round apart; the
+    # factor 2 covers the rounding of 2 eps hi and of the sums
+    bound = 2.0 * (abs(n) + count + 1) * _DD_ERROR
+    near = []
+    for i in (0, size):
+        h, l = hi[i:i + size], lo[i:i + size]
+        up, down, _ = buf[:, :len(h)]
+        np.multiply(h, bound, out=down)
+        np.add(l, down, out=up)
+        up += h
+        np.subtract(l, down, out=down)
+        down += h
+        near.extend((np.flatnonzero(up != down) + i).tolist())
+    for i in near:
+        hi[i] = _nearest_power(q, n + i)
+    return hi
+
+
+def _two_product(a, b):
+    """(p, e): p = a b rounded and a b = p + e exactly (Dekker)."""
+    p = a * b
+    c = a * _SPLIT
+    a1 = c - (c - a)
+    a2 = a - a1
+    c = b * _SPLIT
+    b1 = c - (c - b)
+    b2 = b - b1
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _dd_mul(a, b):
+    """The product of pairs a = ah + al and b = bh + bl, normalised."""
+    (ah, al), (bh, bl) = a, b
+    p, e = _two_product(ah, bh)
+    e += ah * bl + al * bh
+    h = p + e
+    return h, e - (h - p)
+
+
+def _dd_reciprocal(x):
+    """1 / (h + l) for the pair x = h + l, normalised: r = 1 / h,
+    corrected by the residual 1 - (h + l) r, whose h r part is exact."""
+    h, l = x
+    r = 1.0 / h
+    p, e = _two_product(h, r)
+    c = r * (((1.0 - p) - e) - l * r)
+    s = r + c
+    return s, c - (s - r)
+
+
+def _nearest_power(q, k):
+    """The double nearest q**k, ties to even, by integer arithmetic; q**k
+    must lie in the normal range.
+
+    q = M 2**z with M odd, so q**k = M**k 2**(z k), or 2**(z k) / M**|k|
+    for k < 0.  M**|k| is bracketed by binary powering with every product
+    truncated down, and again up, to p bits, p = 128 + the bits of |k|,
+    doubled until both ends of the bracket round to one double.  While
+    M**|k| fits in p bits the bracket is exact, so an exact tie such as
+    1.5**34 = 3**34 / 2**34 (3**34 takes 54 bits) ends the loop too; a
+    reciprocal of M**|k| > 1 is never a tie.
+    """
+    num, den = q.as_integer_ratio()
+    zeros = (num & -num).bit_length() - 1
+    odd, shift = num >> zeros, (zeros - den.bit_length() + 1) * k
+    j = abs(k)
+    bits = 128 + j.bit_length()
+    while True:
+        low, high = (_nearest_double(*_truncated_power(odd, j, bits, up),
+                                     k < 0, shift) for up in (False, True))
+        if low == high:
+            return low
+        bits *= 2
+
+
+def _truncated_power(odd, j, bits, up):
+    """(A, E) with A 2**E = odd**j rounded down (or up) through every
+    product of binary powering, A of at most bits + 1 bits."""
+    def mul(x, y):
+        a = x[0] * y[0]
+        cut = max(a.bit_length() - bits, 0)
+        return (-(-a >> cut) if up else a >> cut), x[1] + y[1] + cut
+
+    return _power((odd, 0), j, mul, (1, 0))
+
+
+def _power(base, k, mul, one):
+    """base**k, k >= 0, by binary powering with the product mul."""
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return result
+
+
+def _nearest_double(a, e, reciprocal, shift):
+    """The double nearest a 2**e, or its reciprocal, times 2**shift, for a
+    normal result: CPython rounds int / int correctly, ties to even, and
+    the quotient here lies in [1/2, 2]."""
+    c = a.bit_length()
+    if reciprocal:
+        return math.ldexp((1 << c) / a, shift - c - e)
+    return math.ldexp(a / (1 << c), shift + c + e)
 
 
 def _outside_intervals(atoms, iv):
