@@ -217,15 +217,10 @@ def _times(u, v):
 
 
 def _apply_inverse(fn, target, xmin, xmax):
-    """fn^{-1}(target) on [xmin, xmax] by the monotone search.  A target past
-    fn's ends is rounding of a positive-weight mean, and is clamped.  fn, and x
-    below 1, are scaled by 2**k and 2**-j, exactly: the search's stops are absolute."""
+    """fn^{-1}(target) on [xmin, xmax] by the monotone search on s * fn, s = +-1
+    so that it increases.  A target past fn's ends is rounding of a positive-weight
+    mean, and is clamped.  The search's stops are relative, at any magnitude."""
     s = 1.0 if float(fn.deriv(0.5 * xmin + 0.5 * xmax)) > 0 else -1.0
     lo, hi = s * float(fn(xmin)), s * float(fn(xmax))
-    k = 13 - math.frexp(max(abs(lo), abs(hi)))[1]
-    j = min(0, math.frexp(max(abs(xmin), abs(xmax)))[1])
-    u = invert_increasing(lambda u: np.ldexp(s * fn(np.ldexp(u, j)), k),
-                          np.ldexp(min(max(s * target, lo), hi), k),
-                          math.ldexp(xmin, -j), math.ldexp(xmax, -j),
-                          lambda u: np.ldexp(s * fn.deriv(np.ldexp(u, j)), k + j))
-    return math.ldexp(u, j)
+    return invert_increasing(lambda u: s * fn(u), min(max(s * target, lo), hi),
+                             xmin, xmax, lambda u: s * fn.deriv(u))

@@ -34,7 +34,7 @@ from .timescale import (JUMP_TOL, GridFunction, TimeScale, _grid_values,
 #: |y(b) - B| tolerance for boundary admissibility
 BOUNDARY_TOL = 1e-9
 
-#: strict-positivity threshold on delta derivatives
+#: |y(a)| tolerance for the initial condition y(a) = 0
 POSITIVITY_TOL = 1e-12
 
 
@@ -182,8 +182,10 @@ def solve(p: VariationalProblem) -> Solution:
             t_bad = float(ts.points[bad[0]])
             raise FeasibilityError(f"infeasible: C = {C} is not greater than "
                                    f"phi({t_bad}) = {float(g[bad[0]])}", point=t_bad)
-    if kind.substitute:     # G rises on [0, B], which holds the interior roots
-        yvals[1:-1] = invert_increasing(G, yvals[1:-1], 0.0, B, gprime=phi)
+    if kind.substitute:     # G rises on [0, B], which holds the interior roots;
+        A = phi.antideriv   # G = A - A(0) rounds at A's scale, so A is inverted
+        yvals[1:-1] = invert_increasing(A, yvals[1:-1] + float(A(0.0)), 0.0, B,
+                                        gprime=phi)
         yvals[-1] = B
     yvals[0] = 0.0
     traj = _trajectory(p, yvals, increasing)
@@ -197,11 +199,11 @@ def _increasing(p, Y, d):
     ts, kap = p.ts, slice(len(p.ts.kappa_points()))
     def fault():
         t_bad = float(ts.points[np.flatnonzero(
-            (d[:, kap] <= POSITIVITY_TOL).any(axis=0))[0]])
+            (d[:, kap] <= 0.0).any(axis=0))[0]])
         return AdmissibilityError(
             f"delta derivative not strictly positive at t = {t_bad}",
             point=t_bad, condition="y_delta > 0")
-    return (d[:, kap] <= POSITIVITY_TOL).any(axis=1), fault
+    return (d[:, kap] <= 0.0).any(axis=1), fault
 
 
 def _in_phi_domain(p, Y, d):

@@ -30,6 +30,7 @@ from tsvar import (
     custom,
     evaluate_functional,
     exhaustive_verify,
+    q_scale,
     real_interval,
     solve,
     uniform,
@@ -393,7 +394,8 @@ class TestBoundaryResidual:
 
     def test_power_weighted_roots_interior_points_only(self, monkeypatch):
         # y(a) = 0 and y(b) = B by definition: the root finder sees the
-        # interior points only, and none of their targets reaches G(B)
+        # interior points only, and none of their targets reaches A(B), A
+        # phi's antiderivative, which it inverts
         targets = []
 
         def spy(g, target, *a, **kw):
@@ -406,7 +408,7 @@ class TestBoundaryResidual:
         y = solve(p).trajectory.values
         assert y[0] == 0.0 and y[-1] == 2.0
         assert len(targets) == 1 and targets[0].shape == (3,)
-        assert np.all(targets[0] < weight_antiderivative(p.phi)(2.0))
+        assert np.all(targets[0] < p.phi.antideriv(2.0))
 
     def test_power_weighted_root_stays_in_zero_to_B(self):
         # doubling from 1 used to leave [0, B], where G falls for this phi
@@ -500,20 +502,21 @@ class TestEvaluateFunctional:
 
 class TestInvertIncreasing:
     def test_converges(self):
+        # the value stop is relative to g's larger end, e**5
         x = invert_increasing(math.exp, 3.0, 0.0, 5.0, math.exp)
-        assert abs(math.exp(x) - 3.0) <= 1e-12
+        assert abs(math.exp(x) - 3.0) <= 2.0 * np.finfo(float).eps * math.exp(5.0)
 
     def test_unconverged_raises(self, monkeypatch):
-        # one step from the bracket midpoint cannot reach the tolerance
+        # one step from the chord's start cannot reach the value stop
         monkeypatch.setattr(roots, "MAX_ITER", 1)
         with pytest.raises(DomainError):
             invert_increasing(math.exp, 3.0, 0.0, 5.0, math.exp)
 
     def test_float_spacing_counts_as_converged(self):
-        # near 1e13 floats are ~2e-3 apart, so |g(x) - target| <= 1e-12 is
-        # out of reach; a bracket a float or two wide is the answer
-        x = invert_increasing(math.exp, 1e13, 0.0, 32.0, math.exp)
-        assert x == pytest.approx(13.0 * math.log(10.0), rel=1e-15)
+        # near x = ln 7e13 one float moves e**x by ~0.25, past the value
+        # stop 2 eps e**32 ~ 0.035; a bracket a float or two wide is the answer
+        x = invert_increasing(math.exp, 7e13, 0.0, 32.0, math.exp)
+        assert x == pytest.approx(math.log(7e13), rel=1e-15)
 
     @pytest.mark.parametrize("g,gprime,x_hi", [
         (np.exp, np.exp, 32.0),
@@ -523,8 +526,7 @@ class TestInvertIncreasing:
     ])
     def test_array_matches_scalar_bit_for_bit(self, g, gprime, x_hi):
         # mixed magnitudes in one bracket: a target just above g(0), targets
-        # from 0.25 to 1e3 above it, and 1e13, where floats are too far
-        # apart for |g(x) - target| <= tol
+        # from 0.25 to 1e3 above it, and 1e13, near the top of g's range
         g0 = float(g(0.0))
         targets = g0 + np.array([1e-9, 0.5, 2.0, 7.0, 1e3, 1e13, 3.0, 0.25])
         xs = invert_increasing(g, targets, 0.0, x_hi, gprime)
@@ -542,13 +544,111 @@ class TestInvertIncreasing:
         assert xs.tobytes() == np.array(one_by_one).tobytes()
 
     def test_array_unconverged_names_first_element(self, monkeypatch):
-        # the bracket midpoint is the exact root of the first target only
+        # the line through (-1, -2) and (1, 2) starts each target t at t / 2,
+        # the exact root of x + x**3 = t for the first target, 0, only
         monkeypatch.setattr(roots, "MAX_ITER", 1)
-        targets = np.linspace(1.0, 1.9, 1000)
+        targets = np.linspace(0.0, 1.9, 1000)
         with pytest.raises(DomainError, match=r"element 1\b") as exc:
-            invert_increasing(lambda x: 1.0 * np.asarray(x), targets, 0.0, 2.0,
-                              lambda x: np.ones_like(x))
+            invert_increasing(lambda x: x + x ** 3, targets, -1.0, 1.0,
+                              lambda x: 1.0 + 3.0 * x ** 2)
         assert len(str(exc.value)) < 200
+
+
+def _counting(calls):
+    """invert_increasing that appends, for each call, how often it ran g."""
+    def spy(g, *args, **kwargs):
+        calls.append(0)
+
+        def counted(x):
+            calls[-1] += 1
+            return g(x)
+        return invert_increasing(counted, *args, **kwargs)
+    return spy
+
+
+class TestScaleFree:
+    """power_weighted is homogeneous in phi, so its trajectory does not
+    depend on phi's scale: the root finder's stops are relative."""
+
+    @pytest.mark.parametrize("alpha", [0.5, -1.0, 2.0])
+    @pytest.mark.parametrize("e", range(-300, 301, 20))
+    def test_constant_weight_at_any_scale(self, e, alpha):
+        # y = t for any c; only the value (b - a) c**2 overflows, from 1e160
+        ts = uniform(0, 1, 5)
+        p = VariationalProblem("power_weighted", ts, 1.0, Constant(10.0 ** e),
+                               alpha=alpha)
+        if alpha == 2.0 and e >= 160:
+            with pytest.raises(DomainError, match="optimal value"):
+                solve(p)
+            return
+        y = solve(p).trajectory.values
+        assert np.all(np.abs(y - ts.points) <= 4 * np.spacing(ts.points))
+
+    def test_small_weight_value_is_the_optimum(self):
+        # an absolute value stop of 1e-12 accepted y(0.4) = 0.5 here, and
+        # the functional came out 1.1 times the reported optimum
+        ts = uniform(0, 1, 5)
+        p = VariationalProblem("power_weighted", ts, 1.0, Constant(1e-11),
+                               alpha=2.0)
+        sol = solve(p)
+        assert np.all(np.abs(sol.trajectory.values - ts.points)
+                      <= 4 * np.spacing(ts.points))
+        assert evaluate_functional(p, sol.trajectory) == pytest.approx(
+            sol.optimal_value, rel=8 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("ts", [uniform(0, 3, 40), real_interval(0, 3.958, 129),
+                                    q_scale(1.05, 0, 60)],
+                             ids=["uniform", "real_interval", "q_scale"])
+    def test_trajectory_ignores_phi_scale(self, ts):
+        # 2**k phi scales G and its targets exactly, so every step is scaled
+        phi = Polynomial([1.0, 0.198, 0.217])
+
+        def trajectory(weight):
+            return solve(VariationalProblem("power_weighted", ts, 180.7, weight,
+                                            alpha=-1.0)).trajectory.values
+        expected = trajectory(phi).tobytes()
+        for k in (-600, -40, 40, 600):
+            assert trajectory(Transformed(phi, out_scale=2.0 ** k)).tobytes() == expected
+
+    def test_tiny_rise_is_strictly_increasing(self):
+        # y^Delta = 1e-14 > 0: the increase rule has no threshold
+        ts = uniform(0, 1, 5)
+        p = VariationalProblem("power_weighted", ts, 1e-14, Constant(1.0),
+                               alpha=2.0)
+        y = solve(p).trajectory
+        expected = 1e-14 * ts.points
+        assert np.all(np.abs(y.values - expected) <= 4 * np.spacing(expected))
+        assert admissible(p, y)
+
+    @pytest.mark.parametrize("phi", [Polynomial([1.0, 0.35, 0.15]),
+                                     Transformed(Exp(), in_scale=0.5, in_shift=0.1)],
+                             ids=["polynomial", "transformed_exp"])
+    @pytest.mark.parametrize("ts", [uniform(0, 2, 1000), real_interval(0, 2, 1025),
+                                    q_scale(1.001, 0, 1000)],
+                             ids=["uniform", "real_interval", "q_scale"])
+    def test_few_steps_per_solve(self, monkeypatch, ts, phi):
+        # g runs 6-10 times per solve with an absolute 1e-12 stop and a
+        # midpoint start; at most 11 on the benchmark's solves
+        calls = []
+        monkeypatch.setattr(solvers, "invert_increasing", _counting(calls))
+        for B in (0.1, 2.0):
+            solve(VariationalProblem("power_weighted", ts, B, phi, alpha=2.0))
+        assert len(calls) == 2 and max(calls) <= 11
+
+    @pytest.mark.parametrize("phi,B", [
+        (Polynomial([1.0, 0.35, 0.15]), 1000.0),
+        (Transformed(Exp(), in_scale=0.5, in_shift=0.1), 30.0)],
+        ids=["polynomial", "transformed_exp"])
+    def test_no_stall_where_only_the_bracket_stop_is_in_reach(self, monkeypatch,
+                                                              phi, B):
+        # a float of y moves G by more than the value stop near y = B, so the
+        # bracket must close; a Newton step that rounds to y used to bisect
+        # from the far end, which took 61 and 62 runs of g
+        calls = []
+        monkeypatch.setattr(solvers, "invert_increasing", _counting(calls))
+        solve(VariationalProblem("power_weighted", uniform(0, 2, 1000), B, phi,
+                                 alpha=-1.0))
+        assert calls[0] <= 16
 
 
 class TestAdmissible:
